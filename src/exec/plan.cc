@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "hw/roofline.hh"
 #include "util/logging.hh"
@@ -33,42 +34,6 @@ ExecutionPlan::intern(std::string_view s)
     return ref;
 }
 
-void
-ExecutionPlan::addDep(std::size_t n, std::int32_t dep)
-{
-    MMGEN_CHECK(n < nodes.size(), "node " << n << " out of range");
-    PlanNode& node = nodes[n];
-    if (node.depOffset + node.depCount != depPool.size()) {
-        // The window is not at the pool tail; relocate it there so the
-        // append stays contiguous. Old slots become dead pool space.
-        const std::uint32_t new_off =
-            static_cast<std::uint32_t>(depPool.size());
-        for (std::uint32_t i = 0; i < node.depCount; ++i)
-            depPool.push_back(depPool[node.depOffset + i]);
-        node.depOffset = new_off;
-    }
-    depPool.push_back(dep);
-    ++node.depCount;
-}
-
-void
-ExecutionPlan::setDeps(std::size_t n,
-                       std::span<const std::int32_t> new_deps)
-{
-    MMGEN_CHECK(n < nodes.size(), "node " << n << " out of range");
-    PlanNode& node = nodes[n];
-    node.depOffset = static_cast<std::uint32_t>(depPool.size());
-    node.depCount = static_cast<std::uint32_t>(new_deps.size());
-    depPool.insert(depPool.end(), new_deps.begin(), new_deps.end());
-}
-
-void
-ExecutionPlan::clearDeps(std::size_t n)
-{
-    MMGEN_CHECK(n < nodes.size(), "node " << n << " out of range");
-    nodes[n].depCount = 0;
-}
-
 namespace {
 
 /**
@@ -97,6 +62,21 @@ worthStreaming(const hw::GpuSpec& gpu, const kernels::SubKernelCost& part,
     return est.memorySeconds >= est.computeSeconds;
 }
 
+/**
+ * The kernel of `cost` whose weight traffic lowering peels into a
+ * weight-stream node (the first one worth streaming), or null.
+ */
+const kernels::SubKernelCost*
+streamedPart(const hw::GpuSpec& gpu, const kernels::OpCost& cost,
+             DType dtype, const LoweringOptions& options)
+{
+    for (const auto& part : cost.parts) {
+        if (worthStreaming(gpu, part, dtype, options))
+            return &part;
+    }
+    return nullptr;
+}
+
 /** Roofline-cost one finalized plan node (the scheduler's arithmetic). */
 hw::TimeEstimate
 costNode(const hw::GpuSpec& gpu, const PlanNode& node)
@@ -113,8 +93,9 @@ costNode(const hw::GpuSpec& gpu, const PlanNode& node)
 
 /**
  * Lowering state for one pipeline: the plan under construction, its
- * string-intern index, the lane chains' last nodes, and the one trace
- * buffer every traced iteration reuses.
+ * string-intern index, the lane chains' last nodes, and two trace
+ * buffers that swap every decode step, so the previous step's ops stay
+ * available as the replay reference.
  */
 class LoweringContext
 {
@@ -151,12 +132,23 @@ class LoweringContext
         return ref;
     }
 
+    void reserve(const graph::Pipeline& pipeline,
+                 const kernels::CostModel& model);
     void lowerTrace(std::size_t stage_index, std::int64_t repeat,
                     const kernels::CostModel& model);
+    void lowerOp(const graph::Op& op, std::size_t stage_index,
+                 std::int64_t repeat, const kernels::CostModel& model);
+    void replayOp(std::size_t src);
+    std::int32_t appendNode(PlanNode node, std::int32_t weight_dep);
 
     const LoweringOptions& opts;
     ExecutionPlan plan_;
+    /** The step being lowered. */
     graph::Trace trace_;
+    /** The previous step of the same stage (empty at a stage start). */
+    graph::Trace prev_;
+    /** Plan index of prev_'s first op. */
+    std::size_t prevFirstOp_ = 0;
     std::unordered_map<std::string, StrRef, StrHash, std::equal_to<>>
         interned_;
     std::string scratch_;
@@ -164,125 +156,224 @@ class LoweringContext
     std::int32_t lastCopyNode_ = -1;
 };
 
+/**
+ * Size the plan arrays once, from each stage's iteration-0 extent
+ * times the iterations lowering traces, so a long decode plan is
+ * written into its final buffers instead of regrowing them. Only
+ * pipelines with a per-iteration-shape stage are sized: the others
+ * lower to a few thousand nodes, where the count pass (one more trace
+ * and cost of every op) would cost more than the regrowth it saves.
+ */
+void
+LoweringContext::reserve(const graph::Pipeline& pipeline,
+                         const kernels::CostModel& model)
+{
+    if (std::none_of(pipeline.stages.begin(), pipeline.stages.end(),
+                     [](const graph::Stage& s) {
+                         return s.perIterationShapes;
+                     }))
+        return;
+    // Per op: one PlanOp, one node per kernel plus a weight-stream node
+    // where one is split off, and at most one chain dep per node plus
+    // the weight-stream dep.
+    std::size_t ops = 0;
+    std::size_t nodes = 0;
+    std::size_t deps = 0;
+    for (std::size_t si = 0; si < pipeline.stages.size(); ++si) {
+        const graph::Stage& stage = pipeline.stages[si];
+        if (stage.iterations <= 0)
+            continue;
+        const auto traced = static_cast<std::size_t>(
+            stage.perIterationShapes ? stage.iterations : 1);
+        pipeline.traceStage(si, 0, trace_);
+        ops += trace_.size() * traced;
+        for (const auto& op : trace_.ops()) {
+            const kernels::OpCost cost = model.cost(op);
+            const std::size_t streams =
+                streamedPart(model.gpu(), cost, op.dtype, opts) ? 1 : 0;
+            nodes += (cost.parts.size() + streams) * traced;
+            deps += (cost.parts.size() + 2 * streams) * traced;
+        }
+    }
+    plan_.ops.reserve(ops);
+    plan_.nodes.reserve(nodes);
+    plan_.depPool.reserve(deps);
+    plan_.costs.seconds.reserve(nodes);
+    plan_.costs.execSeconds.reserve(nodes);
+    plan_.costs.overheadSeconds.reserve(nodes);
+}
+
+/**
+ * Append one node, wiring its deps by the lane-chain rules: a
+ * weight-stream node follows the previous copy-lane node; a compute
+ * node follows the previous compute node and, when `weight_dep` is a
+ * node (an op's first kernel after its weight-stream node), that too.
+ */
+std::int32_t
+LoweringContext::appendNode(PlanNode node, std::int32_t weight_dep)
+{
+    ExecutionPlan& plan = plan_;
+    const auto self = static_cast<std::int32_t>(plan.nodes.size());
+    node.depOffset = static_cast<std::uint32_t>(plan.depPool.size());
+    node.depCount = 0;
+    const auto dep = [&](std::int32_t d) {
+        plan.depPool.push_back(d);
+        ++node.depCount;
+    };
+    if (node.weightStream) {
+        if (lastCopyNode_ >= 0)
+            dep(lastCopyNode_);
+        lastCopyNode_ = self;
+        plan.hasWeightStreams = true;
+    } else {
+        if (lastComputeNode_ >= 0)
+            dep(lastComputeNode_);
+        if (weight_dep >= 0)
+            dep(weight_dep);
+        lastComputeNode_ = self;
+    }
+    plan.nodes.push_back(node);
+    return self;
+}
+
+/** Cost and lower one op from scratch. */
+void
+LoweringContext::lowerOp(const graph::Op& op, std::size_t stage_index,
+                         std::int64_t repeat,
+                         const kernels::CostModel& model)
+{
+    ExecutionPlan& plan = plan_;
+    const kernels::OpCost cost = model.cost(op);
+
+    PlanOp pop;
+    pop.stageIndex = stage_index;
+    pop.kind = op.kind;
+    pop.category = graph::opCategory(op);
+    pop.scope = intern(op.scope);
+    pop.dtype = op.dtype;
+    pop.repeat = repeat;
+    pop.paramCount = graph::opParamCount(op);
+    if (op.kind == graph::OpKind::Attention) {
+        const auto& a = op.as<graph::AttentionAttrs>();
+        pop.seqQ = a.seqQ;
+        pop.seqKv = a.seqKv;
+        pop.attnKind = a.kind;
+    }
+    const kernels::OpMemoryDemand dem = model.memoryDemand(op);
+    pop.inputBytes = dem.inputBytes;
+    pop.outputBytes = dem.outputBytes;
+    pop.weightResidentBytes = dem.weightResidentBytes;
+    pop.weightReadBytes = dem.weightReadBytes;
+    pop.workspaceBytes = dem.workspaceBytes;
+    pop.firstNode = plan.nodes.size();
+
+    const auto pushCost = [&](const PlanNode& node) {
+        const hw::TimeEstimate est = costNode(model.gpu(), node);
+        plan.costs.seconds.push_back(est.seconds);
+        plan.costs.execSeconds.push_back(
+            std::max(est.computeSeconds, est.memorySeconds));
+        plan.costs.overheadSeconds.push_back(est.overheadSeconds);
+    };
+
+    // A weight-stream node precedes the kernel that consumes it so
+    // node order remains a valid serial execution order. Every
+    // weight-carrying op lowers to one kernel, so at most one stream.
+    const kernels::SubKernelCost* streamed =
+        streamedPart(model.gpu(), cost, op.dtype, opts);
+    std::int32_t weight_dep = -1;
+    if (streamed) {
+        PlanNode w;
+        w.opIndex = plan.ops.size();
+        w.klass = kernels::KernelClass::Memory;
+        scratch_.assign(streamed->label);
+        scratch_ += ".weight_stream";
+        w.label = intern(scratch_);
+        w.lane = Lane::Copy;
+        w.weightStream = true;
+        w.flops = 0.0;
+        w.hbmBytes = streamed->weightBytes;
+        // The streamed traffic was issued by the original kernel's
+        // launch; the copy lane adds no host-side launches.
+        w.launches = 0;
+        w.computeEff = 1.0;
+        w.memEff = streamed->memEff;
+        w.repeat = repeat;
+        w.dtype = op.dtype;
+        pushCost(w);
+        weight_dep = appendNode(w, -1);
+    }
+
+    for (const auto& part : cost.parts) {
+        PlanNode node;
+        node.opIndex = plan.ops.size();
+        node.klass = part.klass;
+        node.label = intern(part.label);
+        node.lane = Lane::Compute;
+        node.flops = part.flops;
+        node.hbmBytes = streamed ? part.hbmBytes - part.weightBytes
+                                 : part.hbmBytes;
+        node.launches = part.launches;
+        node.computeEff = part.computeEff;
+        node.memEff = part.memEff;
+        node.repeat = repeat;
+        node.dtype = op.dtype;
+        pushCost(node);
+        appendNode(node, weight_dep);
+        weight_dep = -1;
+    }
+
+    pop.nodeCount = plan.nodes.size() - pop.firstNode;
+    plan.ops.push_back(pop);
+}
+
+/**
+ * Lower an op equal to plan op `src` of the previous step: an equal op
+ * lowers to identical records, so copy its PlanOp, nodes and cost rows
+ * and rebuild only the op index, node range and dep windows.
+ */
+void
+LoweringContext::replayOp(std::size_t src)
+{
+    ExecutionPlan& plan = plan_;
+    PlanOp pop = plan.ops[src];
+    const std::size_t first = pop.firstNode;
+    pop.firstNode = plan.nodes.size();
+    std::int32_t weight_dep = -1;
+    for (std::size_t n = first; n < first + pop.nodeCount; ++n) {
+        PlanNode node = plan.nodes[n];
+        node.opIndex = plan.ops.size();
+        plan.costs.seconds.push_back(plan.costs.seconds[n]);
+        plan.costs.execSeconds.push_back(plan.costs.execSeconds[n]);
+        plan.costs.overheadSeconds.push_back(
+            plan.costs.overheadSeconds[n]);
+        if (node.weightStream) {
+            weight_dep = appendNode(node, -1);
+        } else {
+            appendNode(node, weight_dep);
+            weight_dep = -1;
+        }
+    }
+    plan.ops.push_back(pop);
+}
+
+/**
+ * Lower trace_, replaying every op equal to prev_'s op at the same
+ * position and lowering the rest from scratch.
+ */
 void
 LoweringContext::lowerTrace(std::size_t stage_index, std::int64_t repeat,
                             const kernels::CostModel& model)
 {
-    // No reserve here: one call per decode step, and an exact-size
-    // reserve would defeat geometric growth and recopy `ops` every
-    // step (quadratic in decode length).
-    ExecutionPlan& plan = plan_;
-    for (const auto& op : trace_.ops()) {
-        const kernels::OpCost cost = model.cost(op);
-
-        PlanOp pop;
-        pop.stageIndex = stage_index;
-        pop.kind = op.kind;
-        pop.category = graph::opCategory(op);
-        pop.scope = intern(op.scope);
-        pop.dtype = op.dtype;
-        pop.repeat = repeat;
-        pop.paramCount = graph::opParamCount(op);
-        if (op.kind == graph::OpKind::Attention) {
-            const auto& a = op.as<graph::AttentionAttrs>();
-            pop.seqQ = a.seqQ;
-            pop.seqKv = a.seqKv;
-            pop.attnKind = a.kind;
-        }
-        const kernels::OpMemoryDemand dem = model.memoryDemand(op);
-        pop.inputBytes = dem.inputBytes;
-        pop.outputBytes = dem.outputBytes;
-        pop.weightResidentBytes = dem.weightResidentBytes;
-        pop.weightReadBytes = dem.weightReadBytes;
-        pop.workspaceBytes = dem.workspaceBytes;
-        pop.firstNode = plan.nodes.size();
-
-        std::int32_t weight_node = -1;
-        // Weight-stream nodes precede the kernels that consume them so
-        // node order remains a valid serial execution order.
-        for (const auto& part : cost.parts) {
-            if (!worthStreaming(model.gpu(), part, op.dtype, opts))
-                continue;
-            PlanNode w;
-            w.opIndex = plan.ops.size();
-            w.klass = kernels::KernelClass::Memory;
-            scratch_.assign(part.label);
-            scratch_ += ".weight_stream";
-            w.label = intern(scratch_);
-            w.lane = Lane::Copy;
-            w.weightStream = true;
-            w.flops = 0.0;
-            w.hbmBytes = part.weightBytes;
-            // The streamed traffic was issued by the original kernel's
-            // launch; the copy lane adds no host-side launches.
-            w.launches = 0;
-            w.computeEff = 1.0;
-            w.memEff = part.memEff;
-            w.repeat = repeat;
-            w.dtype = op.dtype;
-            w.depOffset =
-                static_cast<std::uint32_t>(plan.depPool.size());
-            if (lastCopyNode_ >= 0) {
-                plan.depPool.push_back(lastCopyNode_);
-                w.depCount = 1;
-            }
-            weight_node = static_cast<std::int32_t>(plan.nodes.size());
-            lastCopyNode_ = weight_node;
-            const hw::TimeEstimate est = costNode(model.gpu(), w);
-            plan.costs.seconds.push_back(est.seconds);
-            plan.costs.execSeconds.push_back(
-                std::max(est.computeSeconds, est.memorySeconds));
-            plan.costs.overheadSeconds.push_back(est.overheadSeconds);
-            plan.nodes.push_back(w);
-            plan.hasWeightStreams = true;
-            break; // every weight-carrying op lowers to one kernel
-        }
-
-        bool first_compute = true;
-        for (const auto& part : cost.parts) {
-            PlanNode node;
-            node.opIndex = plan.ops.size();
-            node.klass = part.klass;
-            node.label = intern(part.label);
-            node.lane = Lane::Compute;
-            node.flops = part.flops;
-            node.hbmBytes = weight_node >= 0
-                                ? part.hbmBytes - part.weightBytes
-                                : part.hbmBytes;
-            node.launches = part.launches;
-            node.computeEff = part.computeEff;
-            node.memEff = part.memEff;
-            node.repeat = repeat;
-            node.dtype = op.dtype;
-            node.depOffset =
-                static_cast<std::uint32_t>(plan.depPool.size());
-            if (first_compute) {
-                if (lastComputeNode_ >= 0) {
-                    plan.depPool.push_back(lastComputeNode_);
-                    ++node.depCount;
-                }
-                if (weight_node >= 0) {
-                    plan.depPool.push_back(weight_node);
-                    ++node.depCount;
-                }
-            } else {
-                plan.depPool.push_back(lastComputeNode_);
-                node.depCount = 1;
-            }
-            lastComputeNode_ =
-                static_cast<std::int32_t>(plan.nodes.size());
-            const hw::TimeEstimate est = costNode(model.gpu(), node);
-            plan.costs.seconds.push_back(est.seconds);
-            plan.costs.execSeconds.push_back(
-                std::max(est.computeSeconds, est.memorySeconds));
-            plan.costs.overheadSeconds.push_back(est.overheadSeconds);
-            plan.nodes.push_back(node);
-            first_compute = false;
-        }
-
-        pop.nodeCount = plan.nodes.size() - pop.firstNode;
-        plan.ops.push_back(pop);
+    const std::size_t first_op = plan_.ops.size();
+    const auto ops = trace_.ops();
+    const auto prev = prev_.ops();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        if (i < prev.size() && ops[i] == prev[i])
+            replayOp(prevFirstOp_ + i);
+        else
+            lowerOp(ops[i], stage_index, repeat, model);
     }
+    prevFirstOp_ = first_op;
 }
 
 ExecutionPlan
@@ -294,14 +385,17 @@ LoweringContext::lower(const graph::Pipeline& pipeline,
     plan_.dtype = pipeline.dtype;
     plan_.totalParams = pipeline.totalParams();
     plan_.costs.gpuKey = model.gpu().fingerprint();
+    reserve(pipeline, model);
 
     for (std::size_t si = 0; si < pipeline.stages.size(); ++si) {
         const graph::Stage& stage = pipeline.stages[si];
         plan_.stageNames.push_back(stage.name);
+        prev_.clear();
         if (stage.perIterationShapes) {
             for (std::int64_t it = 0; it < stage.iterations; ++it) {
                 pipeline.traceStage(si, it, trace_);
                 lowerTrace(si, 1, model);
+                std::swap(trace_, prev_);
             }
         } else {
             pipeline.traceStage(si, 0, trace_);

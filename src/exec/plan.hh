@@ -267,18 +267,6 @@ struct ExecutionPlan
 
     /** Intern a string into the arena (no deduplication). */
     StrRef intern(std::string_view s);
-
-    // -- dependency mutators (verifier tests corrupt plans on purpose;
-    //    regular lowering never rewrites dep windows) --
-
-    /** Append one dependency edge to node `n`. */
-    void addDep(std::size_t n, std::int32_t dep);
-
-    /** Replace node `n`'s dependency list. */
-    void setDeps(std::size_t n, std::span<const std::int32_t> new_deps);
-
-    /** Drop all of node `n`'s dependencies. */
-    void clearDeps(std::size_t n);
 };
 
 /**
@@ -286,9 +274,14 @@ struct ExecutionPlan
  *
  * Stage traversal matches the profiler contract exactly: stages with
  * shape-invariant iterations are traced once and folded into repeat
- * counts; per-iteration-shape stages are traced every iteration, all
- * into one reused trace buffer. Time and allocation are linear in the
- * number of traced ops (decode steps).
+ * counts; per-iteration-shape stages are traced every iteration. Each
+ * step of such a stage is lowered against the previous one: an op
+ * equal (graph::Op::operator==) to the previous step's op at the same
+ * position lowers to identical records, so its plan op, nodes and cost
+ * rows are copied rather than re-costed. When a pipeline has such a
+ * stage, the plan arrays are sized once, up front, from a count pass
+ * over every stage's iteration 0. Time and allocation are linear in
+ * the number of traced ops (decode steps).
  */
 ExecutionPlan lowerPipeline(const graph::Pipeline& pipeline,
                             const kernels::CostModel& model,

@@ -12,6 +12,7 @@
 #ifndef MMGEN_GRAPH_OP_HH
 #define MMGEN_GRAPH_OP_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -107,6 +108,8 @@ struct ConvAttrs
     std::int64_t outH() const { return (inH + strideH - 1) / strideH; }
     std::int64_t outW() const { return (inW + strideW - 1) / strideW; }
     std::int64_t outD() const { return inD; }
+
+    bool operator==(const ConvAttrs&) const = default;
 };
 
 /** Dimensions of a (batched-rows) fully connected layer. */
@@ -117,6 +120,8 @@ struct LinearAttrs
     std::int64_t inFeatures = 0;
     std::int64_t outFeatures = 0;
     bool hasBias = true;
+
+    bool operator==(const LinearAttrs&) const = default;
 };
 
 /** Dimensions of a weightless batched matrix multiply. */
@@ -126,6 +131,8 @@ struct MatmulAttrs
     std::int64_t m = 0;
     std::int64_t n = 0;
     std::int64_t k = 0;
+
+    bool operator==(const MatmulAttrs&) const = default;
 };
 
 /**
@@ -179,6 +186,8 @@ struct AttentionAttrs
         const double s = static_cast<double>(featureStrideElems);
         return s <= 1.0 ? 1.0 : (s < per_sector ? s : per_sector);
     }
+
+    bool operator==(const AttentionAttrs&) const = default;
 };
 
 /** Dimensions of a normalization layer (group or layer norm). */
@@ -190,6 +199,8 @@ struct NormAttrs
     std::int64_t channels = 0;
     /** Number of groups (1 for LayerNorm). */
     std::int64_t groups = 1;
+
+    bool operator==(const NormAttrs&) const = default;
 };
 
 /** Dimensions of a standalone softmax (outside fused attention). */
@@ -197,6 +208,8 @@ struct SoftmaxAttrs
 {
     std::int64_t rows = 0;
     std::int64_t cols = 0;
+
+    bool operator==(const SoftmaxAttrs&) const = default;
 };
 
 /** A pointwise operator over a tensor. */
@@ -209,6 +222,20 @@ struct ElemAttrs
     double flopsPerElement = 1.0;
     /** Label for reports, e.g. "silu", "add". */
     std::string label = "elementwise";
+
+    /**
+     * Field-wise equality with `flopsPerElement` compared bitwise, so
+     * equal attrs always cost to the same bits (-0.0 vs 0.0 and NaN
+     * payloads included).
+     */
+    bool
+    operator==(const ElemAttrs& o) const
+    {
+        return numel == o.numel && arity == o.arity &&
+               std::bit_cast<std::uint64_t>(flopsPerElement) ==
+                   std::bit_cast<std::uint64_t>(o.flopsPerElement) &&
+               label == o.label;
+    }
 };
 
 /** An embedding-table lookup. */
@@ -217,6 +244,8 @@ struct EmbeddingAttrs
     std::int64_t tokens = 0;
     std::int64_t dim = 0;
     std::int64_t vocab = 0;
+
+    bool operator==(const EmbeddingAttrs&) const = default;
 };
 
 /** Nearest/bilinear resampling of a feature map. */
@@ -224,12 +253,16 @@ struct ResampleAttrs
 {
     std::int64_t numelIn = 0;
     std::int64_t numelOut = 0;
+
+    bool operator==(const ResampleAttrs&) const = default;
 };
 
 /** A device-to-device copy (e.g. permute + contiguous). */
 struct CopyAttrs
 {
     std::int64_t bytes = 0;
+
+    bool operator==(const CopyAttrs&) const = default;
 };
 
 /** Attribute payload, discriminated by Op::kind. */
@@ -261,6 +294,13 @@ struct Op
     {
         return std::get<T>(attrs);
     }
+
+    /**
+     * Equal ops lower to identical kernels: every field that reaches
+     * the cost model or the plan is compared (the same fields
+     * opFingerprint hashes).
+     */
+    bool operator==(const Op&) const = default;
 };
 
 /** Reporting category of an operator. */

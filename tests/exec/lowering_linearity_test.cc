@@ -9,6 +9,12 @@
  * Parti's decode steps, must scale allocation by at most ~1.15x the
  * step ratio. A per-step exact `reserve` on a growing plan vector,
  * which recopies the whole plan every step, is quadratic and fails.
+ *
+ * It also counts the allocations of 256 KiB or more, a threshold below
+ * every plan array of the smaller Parti plan (its dep pool is ~340 KiB):
+ * lowering sizes the plan arrays once, so a longer decode must not add
+ * any. A plan array that regrows geometrically adds about two per
+ * fourfold decode.
  */
 
 #include <gtest/gtest.h>
@@ -24,14 +30,20 @@
 
 namespace {
 
+constexpr std::size_t kLargeAlloc = std::size_t{1} << 18;
+
 std::atomic<bool> counting{false};
 std::atomic<std::size_t> bytesAllocated{0};
+std::atomic<std::size_t> largeAllocations{0};
 
 void*
 countedAlloc(std::size_t size)
 {
-    if (counting.load(std::memory_order_relaxed))
+    if (counting.load(std::memory_order_relaxed)) {
         bytesAllocated.fetch_add(size, std::memory_order_relaxed);
+        if (size >= kLargeAlloc)
+            largeAllocations.fetch_add(1, std::memory_order_relaxed);
+    }
     if (void* p = std::malloc(size == 0 ? 1 : size))
         return p;
     throw std::bad_alloc();
@@ -53,6 +65,8 @@ struct LoweringCost
 {
     std::size_t bytes = 0;
     std::size_t ops = 0;
+    /** Allocations of at least kLargeAlloc bytes. */
+    std::size_t large = 0;
 };
 
 /** Bytes allocated by lowering `pipeline` (the plan's size too). */
@@ -61,10 +75,12 @@ lowerCounted(const graph::Pipeline& pipeline)
 {
     const profiler::Profiler profiler;
     bytesAllocated = 0;
+    largeAllocations = 0;
     counting = true;
     ExecutionPlan plan = profiler.lower(pipeline);
     counting = false;
-    return {bytesAllocated.load(), plan.ops.size()};
+    return {bytesAllocated.load(), plan.ops.size(),
+            largeAllocations.load()};
 }
 
 /**
@@ -111,6 +127,21 @@ TEST(LoweringLinearity, PartiFourfoldDecodeStepsAtMostQuadruplesBytes)
     large.imageGrid = 16;
     expectLinear(models::buildParti(small), models::buildParti(large),
                  4.0, 4.6);
+}
+
+TEST(LoweringLinearity, PartiLongerDecodeAddsNoLargeAllocations)
+{
+    models::PartiConfig small;
+    small.imageGrid = 8;
+    models::PartiConfig large = small;
+    large.imageGrid = 16;
+    const LoweringCost a = lowerCounted(models::buildParti(small));
+    const LoweringCost b = lowerCounted(models::buildParti(large));
+    std::cout << "Parti: allocations >= 256 KiB " << a.large << " -> "
+              << b.large << "\n";
+    ASSERT_GT(a.large, 0u);
+    EXPECT_LE(b.large, a.large)
+        << "a plan array regrew instead of being sized once";
 }
 
 } // namespace

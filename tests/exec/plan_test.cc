@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
 #include "exec/plan.hh"
 #include "graph/builder.hh"
 #include "hw/gpu_spec.hh"
+#include "models/llama.hh"
 #include "models/model_suite.hh"
+#include "models/parti.hh"
 #include "util/logging.hh"
 
 namespace mmgen::exec {
@@ -268,6 +272,179 @@ TEST(LowerPipeline, TotalLaunchesAppliesRepeats)
     const ExecutionPlan ten = lowerPipeline(toyPipeline(10), costModel());
     EXPECT_GT(one.totalLaunches(), 0);
     EXPECT_EQ(ten.totalLaunches(), 10 * one.totalLaunches());
+}
+
+/**
+ * `p` with every per-iteration-shape stage unrolled into one
+ * single-iteration shape-invariant stage per step. Such stages are
+ * lowered on their own and never replay, so their plan is the
+ * from-scratch oracle for step-replay lowering.
+ */
+Pipeline
+unrolled(const Pipeline& p)
+{
+    Pipeline out = p;
+    out.stages.clear();
+    for (const Stage& stage : p.stages) {
+        if (!stage.perIterationShapes) {
+            out.stages.push_back(stage);
+            continue;
+        }
+        for (std::int64_t it = 0; it < stage.iterations; ++it) {
+            Stage step = stage;
+            step.iterations = 1;
+            step.perIterationShapes = false;
+            // Count the stage's weights once, at its last step, as
+            // Pipeline::totalParams does.
+            step.reusesWeights =
+                stage.reusesWeights || it + 1 < stage.iterations;
+            step.emit = [emit = stage.emit, it](GraphBuilder& b,
+                                                std::int64_t) {
+                emit(b, it);
+            };
+            out.stages.push_back(std::move(step));
+        }
+    }
+    return out;
+}
+
+/** Bitwise double equality (the plan contract is exact doubles). */
+void
+expectSameBits(double a, double b, const std::string& what)
+{
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a),
+              std::bit_cast<std::uint64_t>(b))
+        << what << ": " << a << " vs " << b;
+}
+
+/**
+ * Field-by-field plan equality: ops (except stageIndex, which the
+ * unrolled oracle numbers differently), nodes, deps resolved through
+ * plan.deps(), and cost rows.
+ */
+void
+expectSamePlan(const ExecutionPlan& got, const ExecutionPlan& want)
+{
+    ASSERT_EQ(got.ops.size(), want.ops.size());
+    ASSERT_EQ(got.nodes.size(), want.nodes.size());
+    EXPECT_EQ(got.hasWeightStreams, want.hasWeightStreams);
+    EXPECT_EQ(got.totalParams, want.totalParams);
+    for (std::size_t i = 0; i < got.ops.size(); ++i) {
+        const PlanOp& a = got.ops[i];
+        const PlanOp& b = want.ops[i];
+        const std::string at = "op " + std::to_string(i);
+        ASSERT_EQ(a.kind, b.kind) << at;
+        EXPECT_EQ(a.category, b.category) << at;
+        EXPECT_EQ(got.opScope(i), want.opScope(i)) << at;
+        EXPECT_EQ(a.dtype, b.dtype) << at;
+        EXPECT_EQ(a.repeat, b.repeat) << at;
+        EXPECT_EQ(a.paramCount, b.paramCount) << at;
+        EXPECT_EQ(a.seqQ, b.seqQ) << at;
+        EXPECT_EQ(a.seqKv, b.seqKv) << at;
+        EXPECT_EQ(a.attnKind, b.attnKind) << at;
+        expectSameBits(a.inputBytes, b.inputBytes, at);
+        expectSameBits(a.outputBytes, b.outputBytes, at);
+        expectSameBits(a.weightResidentBytes, b.weightResidentBytes, at);
+        expectSameBits(a.weightReadBytes, b.weightReadBytes, at);
+        expectSameBits(a.workspaceBytes, b.workspaceBytes, at);
+        ASSERT_EQ(a.firstNode, b.firstNode) << at;
+        ASSERT_EQ(a.nodeCount, b.nodeCount) << at;
+    }
+    ASSERT_TRUE(got.costs.matches(want.costs.gpuKey, got.nodes.size()));
+    ASSERT_TRUE(want.costs.matches(got.costs.gpuKey, want.nodes.size()));
+    for (std::size_t n = 0; n < got.nodes.size(); ++n) {
+        const PlanNode& a = got.nodes[n];
+        const PlanNode& b = want.nodes[n];
+        const std::string at = "node " + std::to_string(n);
+        ASSERT_EQ(a.opIndex, b.opIndex) << at;
+        EXPECT_EQ(a.klass, b.klass) << at;
+        EXPECT_EQ(got.nodeLabel(n), want.nodeLabel(n)) << at;
+        EXPECT_EQ(a.lane, b.lane) << at;
+        EXPECT_EQ(a.weightStream, b.weightStream) << at;
+        expectSameBits(a.flops, b.flops, at);
+        expectSameBits(a.hbmBytes, b.hbmBytes, at);
+        EXPECT_EQ(a.launches, b.launches) << at;
+        expectSameBits(a.computeEff, b.computeEff, at);
+        expectSameBits(a.memEff, b.memEff, at);
+        EXPECT_EQ(a.repeat, b.repeat) << at;
+        EXPECT_EQ(a.dtype, b.dtype) << at;
+        const auto da = got.deps(n);
+        const auto db = want.deps(n);
+        ASSERT_TRUE(std::equal(da.begin(), da.end(), db.begin(), db.end()))
+            << at;
+        expectSameBits(got.costs.seconds[n], want.costs.seconds[n], at);
+        expectSameBits(got.costs.execSeconds[n], want.costs.execSeconds[n],
+                       at);
+        expectSameBits(got.costs.overheadSeconds[n],
+                       want.costs.overheadSeconds[n], at);
+    }
+}
+
+void
+expectReplayMatchesUnrolled(const Pipeline& p,
+                            const kernels::CostModel& model,
+                            const LoweringOptions& options = {})
+{
+    expectSamePlan(lowerPipeline(p, model, options),
+                   lowerPipeline(unrolled(p), model, options));
+}
+
+TEST(StepReplay, SyntheticDecodeMatchesUnrolledSteps)
+{
+    Pipeline p;
+    p.name = "synthetic_ar";
+    Stage decode;
+    decode.name = "decode";
+    decode.iterations = 7;
+    decode.perIterationShapes = true;
+    decode.emit = [](GraphBuilder& b, std::int64_t iter) {
+        const TensorDesc x({1, 1, 4096}, DType::F16);
+        // Memory-bound 32 MiB weights: split into weight-stream nodes.
+        b.linear(x, 4096);
+        // Step-dependent attention: seqKv grows every step.
+        b.attention(graph::AttentionKind::CausalSelf, 1, 32, 1,
+                    64 + iter, 128);
+        // Emitted on some steps only, so later positions shift.
+        if (iter % 3 == 1)
+            b.gelu(x);
+        b.linear(x, 4096);
+        b.layerNorm(x);
+    };
+    p.stages.push_back(std::move(decode));
+    Stage tail;
+    tail.name = "head";
+    tail.iterations = 3;
+    tail.emit = [](GraphBuilder& b, std::int64_t) {
+        b.linear(TensorDesc({1, 1, 4096}, DType::F16), 4096);
+    };
+    p.stages.push_back(std::move(tail));
+
+    LoweringOptions split;
+    split.splitWeightStreams = true;
+    for (const AttentionBackend backend :
+         {AttentionBackend::Flash, AttentionBackend::Baseline}) {
+        const kernels::CostModel model = costModel(backend);
+        ASSERT_TRUE(lowerPipeline(p, model, split).hasWeightStreams);
+        expectReplayMatchesUnrolled(p, model, split);
+        expectReplayMatchesUnrolled(p, model);
+    }
+}
+
+TEST(StepReplay, PartiAndLlamaMatchUnrolledSteps)
+{
+    models::PartiConfig parti;
+    parti.imageGrid = 8;
+    models::LlamaConfig llama;
+    llama.decodeTokens = 64;
+    for (const Pipeline& p :
+         {models::buildParti(parti), models::buildLlama(llama)}) {
+        for (const AttentionBackend backend :
+             {AttentionBackend::Flash, AttentionBackend::Baseline}) {
+            SCOPED_TRACE(p.name + "/" +
+                         graph::attentionBackendName(backend));
+            expectReplayMatchesUnrolled(p, costModel(backend));
+        }
+    }
 }
 
 TEST(Lane, Names)

@@ -43,6 +43,32 @@ lowerStableDiffusion()
     return l;
 }
 
+/**
+ * Append edge `dep` to node `n`'s dep window, moving the window to the
+ * pool tail first so it stays contiguous (the old slots go dead).
+ */
+void
+addDep(exec::ExecutionPlan& plan, std::size_t n, std::int32_t dep)
+{
+    exec::PlanNode& node = plan.nodes.at(n);
+    if (node.depOffset + node.depCount != plan.depPool.size()) {
+        const auto offset =
+            static_cast<std::uint32_t>(plan.depPool.size());
+        for (std::uint32_t i = 0; i < node.depCount; ++i)
+            plan.depPool.push_back(plan.depPool[node.depOffset + i]);
+        node.depOffset = offset;
+    }
+    plan.depPool.push_back(dep);
+    ++node.depCount;
+}
+
+/** Drop every dependency of node `n`. */
+void
+clearDeps(exec::ExecutionPlan& plan, std::size_t n)
+{
+    plan.nodes.at(n).depCount = 0;
+}
+
 PhysicsContext
 ctxFor(const exec::ExecutionPlan& plan)
 {
@@ -63,7 +89,7 @@ TEST(PlanDataflow, SelfDependencyFiresS013)
     Lowered l = lowerStableDiffusion();
     // A node depending on itself is the minimal forward edge: the
     // buffer it reads is defined by no strictly-earlier node.
-    l.plan.addDep(5, 5);
+    addDep(l.plan, 5, 5);
     DiagnosticReport report;
     checkPlanDataflow(l.plan, ctxFor(l.plan), report);
     EXPECT_TRUE(report.fired(rules::DanglingDefUse))
@@ -97,7 +123,7 @@ TEST(PlanDataflow, BrokenComputeChainFiresS013)
             std::find(deps.begin(), deps.end(),
                       static_cast<std::int32_t>(prev_compute)) !=
                 deps.end()) {
-            l.plan.clearDeps(i);
+            clearDeps(l.plan, i);
             cut = true;
         }
         prev_compute = i;
@@ -198,7 +224,7 @@ TEST(MemoryRules, SuppressingCapacityDoesNotMaskDataflow)
     EXPECT_FALSE(report.hasErrors()) << report.render();
 
     // ...but S013 errors on a corrupted plan still gate.
-    l.plan.addDep(5, 5);
+    addDep(l.plan, 5, 5);
     checkPlanDataflow(l.plan, ctxFor(l.plan), report);
     EXPECT_TRUE(report.fired(rules::DanglingDefUse));
     EXPECT_TRUE(report.hasErrors());
