@@ -31,19 +31,20 @@ deriveLiveness(const ExecutionPlan& plan)
     lv.buffers.reserve(plan.ops.size() * 2);
 
     for (std::size_t oi = 0; oi < plan.ops.size(); ++oi) {
-        const PlanOp& op = plan.ops[oi];
+        const PlanOp& row = plan.ops[oi];
+        const OpInfo& op = plan.opInfo(row);
         MMGEN_CHECK(op.nodeCount >= 1,
                     "op " << plan.str(op.scope)
                           << " lowered to no kernels");
-        const std::size_t first = op.firstNode;
-        const std::size_t last = op.firstNode + op.nodeCount - 1;
+        const std::size_t first = row.firstNode;
+        const std::size_t last = row.firstNode + op.nodeCount - 1;
 
         // Operands beyond the predecessor's output (residual streams,
         // encoder K/V, second elementwise inputs) are modeled as a
         // window materialized across this op only — the chain buffer
         // itself is accounted once, below, by its producer.
         const double prev_out =
-            oi > 0 ? plan.ops[oi - 1].outputBytes : 0.0;
+            oi > 0 ? plan.opInfo(oi - 1).outputBytes : 0.0;
         const double window =
             std::max(0.0, op.inputBytes - prev_out);
         if (window > 0.0)
@@ -60,7 +61,8 @@ deriveLiveness(const ExecutionPlan& plan)
             std::size_t last_use = last;
             if (oi + 1 < plan.ops.size()) {
                 const PlanOp& next = plan.ops[oi + 1];
-                last_use = next.firstNode + next.nodeCount - 1;
+                last_use =
+                    next.firstNode + plan.opInfo(next).nodeCount - 1;
             }
             lv.buffers.push_back({BufferKind::Activation, oi,
                                   op.outputBytes, first, last_use});
@@ -70,10 +72,10 @@ deriveLiveness(const ExecutionPlan& plan)
         // op's last compute kernel retires; under a multi-stream
         // schedule the copy starts early, widening the lifetime.
         for (std::size_t n = first; n <= last; ++n) {
-            const PlanNode& node = plan.nodes[n];
-            if (node.weightStream && node.hbmBytes > 0.0)
+            const KernelInfo& kernel = plan.kernel(n);
+            if (kernel.weightStream && kernel.hbmBytes > 0.0)
                 lv.buffers.push_back({BufferKind::WeightStage, oi,
-                                      node.hbmBytes, n, last});
+                                      kernel.hbmBytes, n, last});
         }
     }
     return lv;

@@ -79,7 +79,7 @@ analyzeMemory(const ExecutionPlan& plan, const Timeline& timeline)
         profile.programPeakBytes =
             std::max(profile.programPeakBytes, cur);
         const std::size_t stage =
-            plan.ops[plan.nodes[k].opIndex].stageIndex;
+            plan.opInfo(plan.nodes[k].opIndex).stageIndex;
         StageResidency& sr = profile.stageResidency[stage];
         sr.peakBytes = std::max(sr.peakBytes, cur);
         cur -= free_after[k];

@@ -19,8 +19,10 @@ std::int64_t
 ExecutionPlan::totalLaunches() const
 {
     std::int64_t total = 0;
-    for (const PlanNode& node : nodes)
-        total += static_cast<std::int64_t>(node.launches) * node.repeat;
+    for (const PlanNode& node : nodes) {
+        const KernelInfo& k = kernel(node);
+        total += static_cast<std::int64_t>(k.launches) * k.repeat;
+    }
     return total;
 }
 
@@ -77,20 +79,6 @@ streamedPart(const hw::GpuSpec& gpu, const kernels::OpCost& cost,
     return nullptr;
 }
 
-/** Roofline-cost one finalized plan node (the scheduler's arithmetic). */
-hw::TimeEstimate
-costNode(const hw::GpuSpec& gpu, const PlanNode& node)
-{
-    hw::TimeEstimateInputs in;
-    in.flops = node.flops;
-    in.hbmBytes = node.hbmBytes;
-    in.computeEfficiency = node.computeEff;
-    in.memoryEfficiency = node.memEff;
-    in.launches = node.launches;
-    in.dtype = node.dtype;
-    return hw::estimateTime(gpu, in);
-}
-
 /**
  * Lowering state for one pipeline: the plan under construction, its
  * string-intern index, the lane chains' last nodes, and two trace
@@ -139,7 +127,10 @@ class LoweringContext
     void lowerOp(const graph::Op& op, std::size_t stage_index,
                  std::int64_t repeat, const kernels::CostModel& model);
     void replayOp(std::size_t src);
-    std::int32_t appendNode(PlanNode node, std::int32_t weight_dep);
+    std::uint32_t addKernel(const KernelInfo& kernel,
+                            const hw::GpuSpec& gpu);
+    std::int32_t appendNode(std::uint32_t kernel,
+                            std::int32_t weight_dep);
 
     const LoweringOptions& opts;
     ExecutionPlan plan_;
@@ -159,10 +150,13 @@ class LoweringContext
 /**
  * Size the plan arrays once, from each stage's iteration-0 extent
  * times the iterations lowering traces, so a long decode plan is
- * written into its final buffers instead of regrowing them. Only
- * pipelines with a per-iteration-shape stage are sized: the others
- * lower to a few thousand nodes, where the count pass (one more trace
- * and cost of every op) would cost more than the regrowth it saves.
+ * written into its final buffers instead of regrowing them. The record
+ * tables get iteration 0's records plus, per later step, the records
+ * of the ops iteration 1 changes against iteration 0 (the ops a step
+ * cannot replay). Only pipelines with a per-iteration-shape stage are
+ * sized: the others lower to a few thousand nodes, where the count
+ * pass (one more trace and cost of every op) would cost more than the
+ * regrowth it saves.
  */
 void
 LoweringContext::reserve(const graph::Pipeline& pipeline,
@@ -173,12 +167,20 @@ LoweringContext::reserve(const graph::Pipeline& pipeline,
                          return s.perIterationShapes;
                      }))
         return;
-    // Per op: one PlanOp, one node per kernel plus a weight-stream node
-    // where one is split off, and at most one chain dep per node plus
-    // the weight-stream dep.
+    // Per op: one op row and record, one node row and kernel record
+    // per kernel plus a weight-stream node where one is split off, and
+    // at most one chain dep per node plus the weight-stream dep.
     std::size_t ops = 0;
     std::size_t nodes = 0;
     std::size_t deps = 0;
+    std::size_t op_records = 0;
+    std::size_t kernel_records = 0;
+    const auto kernelCount = [&](const graph::Op& op) {
+        const kernels::OpCost cost = model.cost(op);
+        const std::size_t streams =
+            streamedPart(model.gpu(), cost, op.dtype, opts) ? 1 : 0;
+        return std::pair(cost.parts.size() + streams, streams);
+    };
     for (std::size_t si = 0; si < pipeline.stages.size(); ++si) {
         const graph::Stage& stage = pipeline.stages[si];
         if (stage.iterations <= 0)
@@ -187,40 +189,81 @@ LoweringContext::reserve(const graph::Pipeline& pipeline,
             stage.perIterationShapes ? stage.iterations : 1);
         pipeline.traceStage(si, 0, trace_);
         ops += trace_.size() * traced;
+        op_records += trace_.size();
         for (const auto& op : trace_.ops()) {
-            const kernels::OpCost cost = model.cost(op);
-            const std::size_t streams =
-                streamedPart(model.gpu(), cost, op.dtype, opts) ? 1 : 0;
-            nodes += (cost.parts.size() + streams) * traced;
-            deps += (cost.parts.size() + 2 * streams) * traced;
+            const auto [k, streams] = kernelCount(op);
+            nodes += k * traced;
+            deps += (k + streams) * traced;
+            kernel_records += k;
+        }
+        if (traced < 2)
+            continue;
+        pipeline.traceStage(si, 1, prev_);
+        const auto first = trace_.ops();
+        const auto next = prev_.ops();
+        for (std::size_t i = 0; i < next.size(); ++i) {
+            if (i < first.size() && next[i] == first[i])
+                continue;
+            op_records += traced - 1;
+            kernel_records += kernelCount(next[i]).first * (traced - 1);
         }
     }
     plan_.ops.reserve(ops);
     plan_.nodes.reserve(nodes);
     plan_.depPool.reserve(deps);
-    plan_.costs.seconds.reserve(nodes);
-    plan_.costs.execSeconds.reserve(nodes);
-    plan_.costs.overheadSeconds.reserve(nodes);
+    plan_.opInfos.reserve(op_records);
+    plan_.kernelInfos.reserve(kernel_records);
+    plan_.costs.seconds.reserve(kernel_records);
+    plan_.costs.execSeconds.reserve(kernel_records);
+    plan_.costs.overheadSeconds.reserve(kernel_records);
 }
 
 /**
- * Append one node, wiring its deps by the lane-chain rules: a
- * weight-stream node follows the previous copy-lane node; a compute
- * node follows the previous compute node and, when `weight_dep` is a
- * node (an op's first kernel after its weight-stream node), that too.
+ * Store one kernel record and its roofline cost row (the scheduler's
+ * arithmetic); returns the record's index.
+ */
+std::uint32_t
+LoweringContext::addKernel(const KernelInfo& kernel,
+                           const hw::GpuSpec& gpu)
+{
+    ExecutionPlan& plan = plan_;
+    hw::TimeEstimateInputs in;
+    in.flops = kernel.flops;
+    in.hbmBytes = kernel.hbmBytes;
+    in.computeEfficiency = kernel.computeEff;
+    in.memoryEfficiency = kernel.memEff;
+    in.launches = kernel.launches;
+    in.dtype = kernel.dtype;
+    const hw::TimeEstimate est = hw::estimateTime(gpu, in);
+    plan.costs.seconds.push_back(est.seconds);
+    plan.costs.execSeconds.push_back(
+        std::max(est.computeSeconds, est.memorySeconds));
+    plan.costs.overheadSeconds.push_back(est.overheadSeconds);
+    plan.kernelInfos.push_back(kernel);
+    return static_cast<std::uint32_t>(plan.kernelInfos.size() - 1);
+}
+
+/**
+ * Append a node row of kernel record `kernel` to the op being lowered,
+ * wiring its deps by the lane-chain rules: a weight-stream node
+ * follows the previous copy-lane node; a compute node follows the
+ * previous compute node and, when `weight_dep` is a node (an op's
+ * first kernel after its weight-stream node), that too.
  */
 std::int32_t
-LoweringContext::appendNode(PlanNode node, std::int32_t weight_dep)
+LoweringContext::appendNode(std::uint32_t kernel, std::int32_t weight_dep)
 {
     ExecutionPlan& plan = plan_;
     const auto self = static_cast<std::int32_t>(plan.nodes.size());
+    PlanNode node;
+    node.kernel = kernel;
+    node.opIndex = static_cast<std::uint32_t>(plan.ops.size());
     node.depOffset = static_cast<std::uint32_t>(plan.depPool.size());
-    node.depCount = 0;
     const auto dep = [&](std::int32_t d) {
         plan.depPool.push_back(d);
         ++node.depCount;
     };
-    if (node.weightStream) {
+    if (plan.kernelInfos[kernel].weightStream) {
         if (lastCopyNode_ >= 0)
             dep(lastCopyNode_);
         lastCopyNode_ = self;
@@ -236,7 +279,7 @@ LoweringContext::appendNode(PlanNode node, std::int32_t weight_dep)
     return self;
 }
 
-/** Cost and lower one op from scratch. */
+/** Cost and lower one op from scratch, storing new records. */
 void
 LoweringContext::lowerOp(const graph::Op& op, std::size_t stage_index,
                          std::int64_t repeat,
@@ -245,35 +288,29 @@ LoweringContext::lowerOp(const graph::Op& op, std::size_t stage_index,
     ExecutionPlan& plan = plan_;
     const kernels::OpCost cost = model.cost(op);
 
-    PlanOp pop;
-    pop.stageIndex = stage_index;
-    pop.kind = op.kind;
-    pop.category = graph::opCategory(op);
-    pop.scope = intern(op.scope);
-    pop.dtype = op.dtype;
-    pop.repeat = repeat;
-    pop.paramCount = graph::opParamCount(op);
+    OpInfo info;
+    info.stageIndex = stage_index;
+    info.kind = op.kind;
+    info.category = graph::opCategory(op);
+    info.scope = intern(op.scope);
+    info.dtype = op.dtype;
+    info.repeat = repeat;
+    info.paramCount = graph::opParamCount(op);
     if (op.kind == graph::OpKind::Attention) {
         const auto& a = op.as<graph::AttentionAttrs>();
-        pop.seqQ = a.seqQ;
-        pop.seqKv = a.seqKv;
-        pop.attnKind = a.kind;
+        info.seqQ = a.seqQ;
+        info.seqKv = a.seqKv;
+        info.attnKind = a.kind;
     }
     const kernels::OpMemoryDemand dem = model.memoryDemand(op);
-    pop.inputBytes = dem.inputBytes;
-    pop.outputBytes = dem.outputBytes;
-    pop.weightResidentBytes = dem.weightResidentBytes;
-    pop.weightReadBytes = dem.weightReadBytes;
-    pop.workspaceBytes = dem.workspaceBytes;
-    pop.firstNode = plan.nodes.size();
-
-    const auto pushCost = [&](const PlanNode& node) {
-        const hw::TimeEstimate est = costNode(model.gpu(), node);
-        plan.costs.seconds.push_back(est.seconds);
-        plan.costs.execSeconds.push_back(
-            std::max(est.computeSeconds, est.memorySeconds));
-        plan.costs.overheadSeconds.push_back(est.overheadSeconds);
-    };
+    info.inputBytes = dem.inputBytes;
+    info.outputBytes = dem.outputBytes;
+    info.weightResidentBytes = dem.weightResidentBytes;
+    info.weightReadBytes = dem.weightReadBytes;
+    info.workspaceBytes = dem.workspaceBytes;
+    PlanOp row;
+    row.info = static_cast<std::uint32_t>(plan.opInfos.size());
+    row.firstNode = static_cast<std::uint32_t>(plan.nodes.size());
 
     // A weight-stream node precedes the kernel that consumes it so
     // node order remains a valid serial execution order. Every
@@ -282,8 +319,7 @@ LoweringContext::lowerOp(const graph::Op& op, std::size_t stage_index,
         streamedPart(model.gpu(), cost, op.dtype, opts);
     std::int32_t weight_dep = -1;
     if (streamed) {
-        PlanNode w;
-        w.opIndex = plan.ops.size();
+        KernelInfo w;
         w.klass = kernels::KernelClass::Memory;
         scratch_.assign(streamed->label);
         scratch_ += ".weight_stream";
@@ -299,61 +335,57 @@ LoweringContext::lowerOp(const graph::Op& op, std::size_t stage_index,
         w.memEff = streamed->memEff;
         w.repeat = repeat;
         w.dtype = op.dtype;
-        pushCost(w);
-        weight_dep = appendNode(w, -1);
+        weight_dep = appendNode(addKernel(w, model.gpu()), -1);
     }
 
     for (const auto& part : cost.parts) {
-        PlanNode node;
-        node.opIndex = plan.ops.size();
-        node.klass = part.klass;
-        node.label = intern(part.label);
-        node.lane = Lane::Compute;
-        node.flops = part.flops;
-        node.hbmBytes = streamed ? part.hbmBytes - part.weightBytes
-                                 : part.hbmBytes;
-        node.launches = part.launches;
-        node.computeEff = part.computeEff;
-        node.memEff = part.memEff;
-        node.repeat = repeat;
-        node.dtype = op.dtype;
-        pushCost(node);
-        appendNode(node, weight_dep);
+        KernelInfo k;
+        k.klass = part.klass;
+        k.label = intern(part.label);
+        k.lane = Lane::Compute;
+        k.flops = part.flops;
+        k.hbmBytes = streamed ? part.hbmBytes - part.weightBytes
+                              : part.hbmBytes;
+        k.launches = part.launches;
+        k.computeEff = part.computeEff;
+        k.memEff = part.memEff;
+        k.repeat = repeat;
+        k.dtype = op.dtype;
+        appendNode(addKernel(k, model.gpu()), weight_dep);
         weight_dep = -1;
     }
 
-    pop.nodeCount = plan.nodes.size() - pop.firstNode;
-    plan.ops.push_back(pop);
+    info.nodeCount =
+        static_cast<std::uint32_t>(plan.nodes.size() - row.firstNode);
+    plan.opInfos.push_back(info);
+    plan.ops.push_back(row);
 }
 
 /**
  * Lower an op equal to plan op `src` of the previous step: an equal op
- * lowers to identical records, so copy its PlanOp, nodes and cost rows
- * and rebuild only the op index, node range and dep windows.
+ * lowers to identical records, so append rows that point at `src`'s op
+ * and kernel records, with fresh op index, node range and dep windows.
  */
 void
 LoweringContext::replayOp(std::size_t src)
 {
     ExecutionPlan& plan = plan_;
-    PlanOp pop = plan.ops[src];
-    const std::size_t first = pop.firstNode;
-    pop.firstNode = plan.nodes.size();
+    const PlanOp from = plan.ops[src];
+    const std::uint32_t count = plan.opInfos[from.info].nodeCount;
+    PlanOp row;
+    row.info = from.info;
+    row.firstNode = static_cast<std::uint32_t>(plan.nodes.size());
     std::int32_t weight_dep = -1;
-    for (std::size_t n = first; n < first + pop.nodeCount; ++n) {
-        PlanNode node = plan.nodes[n];
-        node.opIndex = plan.ops.size();
-        plan.costs.seconds.push_back(plan.costs.seconds[n]);
-        plan.costs.execSeconds.push_back(plan.costs.execSeconds[n]);
-        plan.costs.overheadSeconds.push_back(
-            plan.costs.overheadSeconds[n]);
-        if (node.weightStream) {
-            weight_dep = appendNode(node, -1);
+    for (std::uint32_t p = 0; p < count; ++p) {
+        const std::uint32_t kernel = plan.nodes[from.firstNode + p].kernel;
+        if (plan.kernelInfos[kernel].weightStream) {
+            weight_dep = appendNode(kernel, -1);
         } else {
-            appendNode(node, weight_dep);
+            appendNode(kernel, weight_dep);
             weight_dep = -1;
         }
     }
-    plan.ops.push_back(pop);
+    plan.ops.push_back(row);
 }
 
 /**

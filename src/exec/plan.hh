@@ -13,16 +13,27 @@
  * play the same work onto a GPU under different concurrency models
  * without re-tracing anything.
  *
- * Storage is arena-style: nodes and ops are plain flat records whose
- * variable-size payloads live in per-plan pools — labels and scopes
+ * Storage is split into per-instance rows and shared records. `ops`
+ * and `nodes` hold one row per op instance and one per schedulable
+ * kernel, and a row is only indices: an op row names its shared
+ * `OpInfo` record and its first node; a node row names its shared
+ * `KernelInfo` record, its op and its dependency window. Everything
+ * else about an op or kernel (kind, scope, label, flops, bytes,
+ * efficiencies, repeat, memory demand) lives in the records, and the
+ * roofline cost table (`NodeCostTable`, keyed by the GPU it was
+ * costed for) has one row per kernel record, so a scheduler on the
+ * same GPU replays the exact same `hw::estimateTime` outputs without
+ * re-deriving them. A decode step that repeats the previous step's op
+ * appends only rows pointing at that op's records instead of copying
+ * them, so a decode plan holds far fewer records than rows.
+ *
+ * Variable-size payloads live in per-plan pools: labels and scopes
  * are interned `StrRef`s into one character arena, dependency lists
  * are [offset, count) windows into one shared `std::int32_t` pool.
  * The plan owns no per-node heap blocks, so copying it is a handful
  * of vector copies and the scheduler's inner loop touches only
- * contiguous memory. Lowering also records a per-node roofline cost
- * table (`NodeCostTable`) keyed by the GPU it was costed for, so a
- * scheduler on the same GPU replays the exact same
- * `hw::estimateTime` outputs without re-deriving them.
+ * contiguous memory. Readers resolve rows through `opInfo()` and
+ * `kernel()`.
  */
 
 #ifndef MMGEN_EXEC_PLAN_HH
@@ -82,8 +93,12 @@ struct StrRef
     std::uint32_t size = 0;
 };
 
-/** One graph-level operator instance in the plan (op provenance). */
-struct PlanOp
+/**
+ * Shared record of one lowered graph-level op: everything about the op
+ * except its position in the plan. Op rows of equal ops (a decode step
+ * repeating the previous step's op) point at one record.
+ */
+struct OpInfo
 {
     /** Index of the owning stage in the pipeline. */
     std::size_t stageIndex = 0;
@@ -116,26 +131,17 @@ struct PlanOp
     /** Transient scratch live only across this op's own kernels. */
     double workspaceBytes = 0.0;
 
-    /** Nodes [firstNode, firstNode + nodeCount) belong to this op. */
-    std::size_t firstNode = 0;
-    std::size_t nodeCount = 0;
+    /** Nodes every op row of this record owns. */
+    std::uint32_t nodeCount = 0;
 };
 
 /**
- * One device kernel instance: the schedulable unit of the plan.
- *
- * Dependency edges always point at lower node indices, so a single
- * forward pass can schedule or analyse the plan. A node's implicit
- * program-order position is its index; its dependency window (resolve
- * with ExecutionPlan::deps()) carries only the true ordering
- * constraints: previous kernel of the same op, the program-order
- * predecessor on the compute chain, and the weight-stream node an
- * op's first kernel consumes.
+ * Shared record of one lowered device kernel: everything about the
+ * kernel except its position and dependencies. Node rows of equal
+ * kernels point at one record.
  */
-struct PlanNode
+struct KernelInfo
 {
-    /** Index of the owning PlanOp. */
-    std::size_t opIndex = 0;
     kernels::KernelClass klass = kernels::KernelClass::Elementwise;
     /** Kernel label from the cost model, e.g. "flash_fused" (interned). */
     StrRef label;
@@ -152,21 +158,54 @@ struct PlanNode
     /** Folded execution count (copied from the owning op). */
     std::int64_t repeat = 1;
     DType dtype = DType::F16;
+};
 
+/**
+ * One graph-level operator instance in the plan: a row of indices. Its
+ * nodes point at consecutive kernel records, in node order, so the
+ * op's cost rows are one contiguous run of the cost table.
+ */
+struct PlanOp
+{
+    /** The op's shared record (resolve with ExecutionPlan::opInfo()). */
+    std::uint32_t info = 0;
+    /** Nodes [firstNode, firstNode + nodeCount) belong to this op. */
+    std::uint32_t firstNode = 0;
+};
+
+/**
+ * One device kernel instance: the schedulable unit of the plan, a row
+ * of indices.
+ *
+ * Dependency edges always point at lower node indices, so a single
+ * forward pass can schedule or analyse the plan. A node's implicit
+ * program-order position is its index; its dependency window (resolve
+ * with ExecutionPlan::deps()) carries only the true ordering
+ * constraints: previous kernel of the same op, the program-order
+ * predecessor on the compute chain, and the weight-stream node an
+ * op's first kernel consumes.
+ */
+struct PlanNode
+{
+    /** The kernel's shared record (resolve with ExecutionPlan::kernel()). */
+    std::uint32_t kernel = 0;
+    /** Index of the owning PlanOp. */
+    std::uint32_t opIndex = 0;
     /** Window [depOffset, depOffset + depCount) into the dep pool. */
     std::uint32_t depOffset = 0;
     std::uint32_t depCount = 0;
 };
 
 /**
- * Per-node roofline estimates captured at lowering.
+ * Per-kernel roofline estimates captured at lowering.
  *
  * The table stores the exact `hw::estimateTime` outputs for the GPU
  * the plan was lowered against (`gpuKey` = that GpuSpec's
- * fingerprint), in node order. A scheduler whose GPU fingerprint
+ * fingerprint), one row per kernel record (ExecutionPlan::kernelInfos,
+ * indexed by PlanNode::kernel). A scheduler whose GPU fingerprint
  * matches replays these doubles verbatim — bit-identical to calling
  * the roofline per node — and one whose GPU differs ignores the table
- * and recomputes.
+ * and recomputes it, once per kernel record.
  */
 struct NodeCostTable
 {
@@ -179,11 +218,11 @@ struct NodeCostTable
     /** Host launch overhead per iteration. */
     std::vector<double> overheadSeconds;
 
-    /** True when the table covers `nodes` nodes costed under `key`. */
+    /** True when the table covers `kernels` records costed under `key`. */
     bool
-    matches(std::uint64_t key, std::size_t nodes) const
+    matches(std::uint64_t key, std::size_t kernels) const
     {
-        return gpuKey == key && seconds.size() == nodes;
+        return gpuKey == key && seconds.size() == kernels;
     }
 
     void
@@ -206,14 +245,20 @@ struct ExecutionPlan
     graph::AttentionBackend backend = graph::AttentionBackend::Flash;
     DType dtype = DType::F16;
 
-    /** Stage names in pipeline order (indexed by PlanOp::stageIndex). */
+    /** Stage names in pipeline order (indexed by OpInfo::stageIndex). */
     std::vector<std::string> stageNames;
 
-    /** Graph-level ops in execution order. */
+    /** Graph-level op rows in execution order. */
     std::vector<PlanOp> ops;
 
-    /** Device kernels in program order (grouped per op). */
+    /** Device kernel rows in program order (grouped per op). */
     std::vector<PlanNode> nodes;
+
+    /** Shared op records (PlanOp::info targets). */
+    std::vector<OpInfo> opInfos;
+
+    /** Shared kernel records (PlanNode::kernel targets). */
+    std::vector<KernelInfo> kernelInfos;
 
     /** Interned label/scope characters (StrRef targets). */
     std::vector<char> strArena;
@@ -221,7 +266,7 @@ struct ExecutionPlan
     /** Flat dependency pool (PlanNode dep windows point here). */
     std::vector<std::int32_t> depPool;
 
-    /** Roofline estimates per node for the lowering GPU. */
+    /** Roofline estimates per kernel record for the lowering GPU. */
     NodeCostTable costs;
 
     /** Trainable parameters of the whole pipeline. */
@@ -240,16 +285,40 @@ struct ExecutionPlan
         return {strArena.data() + ref.offset, ref.size};
     }
 
+    /** Shared record of one op row. */
+    const OpInfo& opInfo(const PlanOp& op) const
+    {
+        return opInfos[op.info];
+    }
+
+    /** Shared record of op `oi`. */
+    const OpInfo& opInfo(std::size_t oi) const
+    {
+        return opInfo(ops[oi]);
+    }
+
+    /** Shared record of one node row. */
+    const KernelInfo& kernel(const PlanNode& node) const
+    {
+        return kernelInfos[node.kernel];
+    }
+
+    /** Shared record of node `n`. */
+    const KernelInfo& kernel(std::size_t n) const
+    {
+        return kernel(nodes[n]);
+    }
+
     /** Label of node `n`. */
     std::string_view nodeLabel(std::size_t n) const
     {
-        return str(nodes[n].label);
+        return str(kernel(n).label);
     }
 
     /** Scope of op `oi`. */
     std::string_view opScope(std::size_t oi) const
     {
-        return str(ops[oi].scope);
+        return str(opInfo(oi).scope);
     }
 
     /** Dependency window of one node. */
@@ -277,11 +346,12 @@ struct ExecutionPlan
  * counts; per-iteration-shape stages are traced every iteration. Each
  * step of such a stage is lowered against the previous one: an op
  * equal (graph::Op::operator==) to the previous step's op at the same
- * position lowers to identical records, so its plan op, nodes and cost
- * rows are copied rather than re-costed. When a pipeline has such a
- * stage, the plan arrays are sized once, up front, from a count pass
- * over every stage's iteration 0. Time and allocation are linear in
- * the number of traced ops (decode steps).
+ * position lowers to identical records, so its op and node rows point
+ * at the previous step's records instead of costing new ones. When a
+ * pipeline has such a stage, the plan arrays are sized once, up
+ * front, from a count pass over every stage's iterations 0 and 1.
+ * Time and allocation are linear in the number of traced ops (decode
+ * steps).
  */
 ExecutionPlan lowerPipeline(const graph::Pipeline& pipeline,
                             const kernels::CostModel& model,

@@ -32,25 +32,26 @@ namespace {
 /**
  * Recompute the plan's roofline table for a GPU the lowering did not
  * cost (fingerprint mismatch). Produces exactly the values lowering
- * would have stored: `hw::estimateTime` per node, in node order.
+ * would have stored: `hw::estimateTime` once per kernel record, in
+ * record order.
  */
 void
 recostPlan(const hw::GpuSpec& gpu, const ExecutionPlan& plan,
            NodeCostTable& table)
 {
-    const std::size_t n = plan.nodes.size();
+    const std::size_t n = plan.kernelInfos.size();
     table.seconds.resize(n);
     table.execSeconds.resize(n);
     table.overheadSeconds.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const PlanNode& node = plan.nodes[i];
+        const KernelInfo& k = plan.kernelInfos[i];
         hw::TimeEstimateInputs in;
-        in.flops = node.flops;
-        in.hbmBytes = node.hbmBytes;
-        in.computeEfficiency = node.computeEff;
-        in.memoryEfficiency = node.memEff;
-        in.launches = node.launches;
-        in.dtype = node.dtype;
+        in.flops = k.flops;
+        in.hbmBytes = k.hbmBytes;
+        in.computeEfficiency = k.computeEff;
+        in.memoryEfficiency = k.memEff;
+        in.launches = k.launches;
+        in.dtype = k.dtype;
         const hw::TimeEstimate est = hw::estimateTime(gpu, in);
         table.seconds[i] = est.seconds;
         table.execSeconds[i] =
@@ -84,23 +85,28 @@ scheduleSerialInto(const ExecutionPlan& plan, const double* sec,
     double busy = 0.0;
     for (std::size_t oi = 0; oi < plan.ops.size(); ++oi) {
         const PlanOp& op = plan.ops[oi];
-        const double r = static_cast<double>(op.repeat);
+        const OpInfo& info = plan.opInfo(op);
+        const double r = static_cast<double>(info.repeat);
         const std::size_t first = op.firstNode;
-        const std::size_t count = op.nodeCount;
+        const std::size_t count = info.nodeCount;
+        // An op's kernel records are consecutive, in node order.
+        const std::size_t k0 = count > 0 ? plan.nodes[first].kernel : 0;
+        const double* op_sec = sec + k0;
+        const double* op_ovh = ovh + k0;
 
         double block_sum = 0.0;
         for (std::size_t p = 0; p < count; ++p) {
-            const double s = sec[first + p];
+            const double s = op_sec[p];
             block_sum += s;
             tl.nodeSeconds[first + p] = s * r;
-            overhead_total += ovh[first + p] * r;
+            overhead_total += op_ovh[p] * r;
         }
         const double block_dur = block_sum * r;
 
         double prefix = 0.0;
         for (std::size_t p = 0; p < count; ++p) {
             tl.eventStart[first + p] = clock + prefix * r;
-            prefix += sec[first + p];
+            prefix += op_sec[p];
             tl.eventEnd[first + p] = p + 1 == count
                                          ? clock + block_dur
                                          : clock + prefix * r;
@@ -147,12 +153,13 @@ scheduleOverlapInto(const ExecutionPlan& plan, const double* exec_sec,
 
     for (std::size_t n = 0; n < num_nodes; ++n) {
         const PlanNode& node = plan.nodes[n];
-        const double r = static_cast<double>(node.repeat);
-        const double exec = exec_sec[n] * r;
+        const KernelInfo& kernel = plan.kernel(node);
+        const double r = static_cast<double>(kernel.repeat);
+        const double exec = exec_sec[node.kernel] * r;
         const double overhead =
             opts.graphLaunch
-                ? ovh[n] * (1.0 + (r - 1.0) * replay_frac)
-                : ovh[n] * r;
+                ? ovh[node.kernel] * (1.0 + (r - 1.0) * replay_frac)
+                : ovh[node.kernel] * r;
         tl.launchOverheadSeconds += overhead;
 
         double launched = 0.0;
@@ -175,7 +182,7 @@ scheduleOverlapInto(const ExecutionPlan& plan, const double* exec_sec,
         }
 
         const int stream =
-            copy_stream && node.lane == Lane::Copy ? 1 : 0;
+            copy_stream && kernel.lane == Lane::Copy ? 1 : 0;
         double start = std::max(cursor[stream], launched);
         for (const std::int32_t dep : plan.deps(node))
             start = std::max(
@@ -204,7 +211,7 @@ TimelineScheduler::scheduleInto(const ExecutionPlan& plan,
     const double* exec_sec = plan.costs.execSeconds.data();
     const double* ovh = plan.costs.overheadSeconds.data();
     NodeCostTable local;
-    if (!plan.costs.matches(gpuKey_, plan.nodes.size())) {
+    if (!plan.costs.matches(gpuKey_, plan.kernelInfos.size())) {
         recostPlan(gpu_, plan, local);
         sec = local.seconds.data();
         exec_sec = local.execSeconds.data();

@@ -29,9 +29,11 @@
  * `i` always describes node `i` (its op is `plan.nodes[i].opIndex`),
  * so the scheduler's inner loop and every consumer stream through
  * flat double arrays. When the plan carries a `NodeCostTable` for the
- * scheduler's GPU (the lowering GPU fingerprint matches), per-node
- * roofline estimates are read from the table — the identical doubles
- * `hw::estimateTime` would produce — instead of recomputed.
+ * scheduler's GPU (the lowering GPU fingerprint matches), each node's
+ * roofline estimates are read from its kernel record's row — the
+ * identical doubles `hw::estimateTime` would produce — instead of
+ * recomputed; on another GPU the table is recomputed once per kernel
+ * record.
  */
 
 #ifndef MMGEN_EXEC_SCHEDULE_HH

@@ -52,17 +52,16 @@ GraphBuilder::appendOp(Op op)
 void
 GraphBuilder::emit(OpKind kind, OpAttrs attrs)
 {
-    Op op;
+    // Fill the trace's next slot in place: a reused slot keeps its
+    // scope buffer, so every field is assigned, repeat included.
+    Op& op = trace.appendSlot();
     op.kind = kind;
-    op.scope = scopePath;
+    op.scope.assign(scopePath);
     op.attrs = std::move(attrs);
     op.dtype = dtype_;
-    trace.append(std::move(op));
-    if (!hooks.empty()) {
-        const Op& emitted = trace.ops().back();
-        for (const auto& hook : hooks)
-            hook(emitted);
-    }
+    op.repeat = 1;
+    for (const auto& hook : hooks)
+        hook(op);
 }
 
 TensorDesc

@@ -105,7 +105,10 @@ hashAttrs(HashBuilder& h, const OpAttrs& attrs)
 void
 hashOp(HashBuilder& h, const Op& op)
 {
-    h.mix(static_cast<std::uint64_t>(op.kind));
+    // The kind word also carries which attrs struct the op holds, so
+    // two alternatives with equal field words never share a hash.
+    h.mix(static_cast<std::uint64_t>(op.kind) |
+          static_cast<std::uint64_t>(op.attrs.index()) << 8);
     h.mix(std::string_view(op.scope));
     h.mix(static_cast<std::uint64_t>(op.dtype));
     h.mix(op.repeat);

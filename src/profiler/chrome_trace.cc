@@ -42,7 +42,7 @@ writeChromeTrace(std::ostream& out, const exec::ExecutionPlan& plan,
     // pid = stage index + 1 so lanes sort in pipeline order.
     std::set<std::size_t> used_stages;
     for (const exec::PlanNode& node : plan.nodes)
-        used_stages.insert(plan.ops[node.opIndex].stageIndex);
+        used_stages.insert(plan.opInfo(node.opIndex).stageIndex);
     for (const std::size_t si : used_stages) {
         const std::string& stage = plan.stageNames[si];
         emit("{\"ph\":\"M\",\"pid\":" + std::to_string(si + 1) +
@@ -55,7 +55,7 @@ writeChromeTrace(std::ostream& out, const exec::ExecutionPlan& plan,
     // tid = stream + 1.
     std::set<std::pair<std::size_t, int>> used_lanes;
     for (std::size_t i = 0; i < timeline.eventCount(); ++i)
-        used_lanes.emplace(plan.ops[plan.nodes[i].opIndex].stageIndex,
+        used_lanes.emplace(plan.opInfo(plan.nodes[i].opIndex).stageIndex,
                            static_cast<int>(timeline.eventStream[i]));
     for (const auto& [si, stream] : used_lanes) {
         const exec::Lane lane = stream == 0 ? exec::Lane::Compute
@@ -73,19 +73,19 @@ writeChromeTrace(std::ostream& out, const exec::ExecutionPlan& plan,
     // slice name instead of silently shortening the lane.
     for (std::size_t i = 0; i < timeline.eventCount(); ++i) {
         const exec::TimelineEvent ev = timeline.event(i);
-        const exec::PlanNode& node = plan.nodes[i];
-        const exec::PlanOp& op = plan.ops[node.opIndex];
+        const exec::KernelInfo& kernel = plan.kernel(i);
+        const exec::OpInfo& op = plan.opInfo(plan.nodes[i].opIndex);
         const int pid = static_cast<int>(op.stageIndex) + 1;
         const int tid = ev.stream + 1;
         const std::int64_t instances = std::min<std::int64_t>(
-            node.repeat, options.maxRepeatInstances);
+            kernel.repeat, options.maxRepeatInstances);
         const double per_instance_us =
             ev.durationSeconds() * 1e6 /
-            static_cast<double>(node.repeat);
+            static_cast<double>(kernel.repeat);
 
-        std::string name(plan.str(node.label));
-        if (instances < node.repeat) {
-            name += " [x" + std::to_string(node.repeat) +
+        std::string name(plan.str(kernel.label));
+        if (instances < kernel.repeat) {
+            name += " [x" + std::to_string(kernel.repeat) +
                     ", showing " + std::to_string(instances) + "]";
         }
 
@@ -101,12 +101,12 @@ writeChromeTrace(std::ostream& out, const exec::ExecutionPlan& plan,
                 "\"repeat\":%lld}}",
                 pid, tid, ts, per_instance_us,
                 jsonEscape(name).c_str(),
-                jsonEscape(kernels::kernelClassName(node.klass))
+                jsonEscape(kernels::kernelClassName(kernel.klass))
                     .c_str(),
                 jsonEscape(std::string(plan.str(op.scope))).c_str(),
-                exec::laneName(node.lane).c_str(), node.flops,
-                node.hbmBytes,
-                static_cast<long long>(node.repeat));
+                exec::laneName(kernel.lane).c_str(), kernel.flops,
+                kernel.hbmBytes,
+                static_cast<long long>(kernel.repeat));
             emit(buf);
             ts += per_instance_us;
         }

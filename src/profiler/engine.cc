@@ -73,19 +73,20 @@ Profiler::profileWithPlan(
             std::min(plan->ops.size(), record_cap));
 
     for (std::size_t oi = 0; oi < plan->ops.size(); ++oi) {
-        const exec::PlanOp& op = plan->ops[oi];
+        const exec::PlanOp& row = plan->ops[oi];
+        const exec::OpInfo& op = plan->opInfo(row);
         const double r = static_cast<double>(op.repeat);
 
         double flops = 0.0;
         double bytes = 0.0;
         std::int64_t launches = 0;
-        for (std::size_t n = op.firstNode;
-             n < op.firstNode + op.nodeCount; ++n) {
-            const exec::PlanNode& node = plan->nodes[n];
-            flops += node.flops;
-            bytes += node.hbmBytes;
-            launches += node.launches;
-            result.kernelClassSeconds[node.klass] +=
+        for (std::size_t n = row.firstNode;
+             n < row.firstNode + op.nodeCount; ++n) {
+            const exec::KernelInfo& kernel = plan->kernel(n);
+            flops += kernel.flops;
+            bytes += kernel.hbmBytes;
+            launches += kernel.launches;
+            result.kernelClassSeconds[kernel.klass] +=
                 timeline.nodeSeconds[n];
         }
 

@@ -105,7 +105,7 @@ appendTimeline(TraceSink& sink, const exec::ExecutionPlan& plan,
     for (std::size_t i = 0; i < timeline.eventCount(); ++i) {
         const int stream = static_cast<int>(timeline.eventStream[i]);
         const std::size_t si =
-            plan.ops[plan.nodes[i].opIndex].stageIndex;
+            plan.opInfo(plan.nodes[i].opIndex).stageIndex;
         auto key = std::make_pair(si, stream);
         if (lanes.count(key))
             continue;
@@ -125,30 +125,30 @@ appendTimeline(TraceSink& sink, const exec::ExecutionPlan& plan,
 
     for (std::size_t i = 0; i < timeline.eventCount(); ++i) {
         const exec::TimelineEvent ev = timeline.event(i);
-        const exec::PlanNode& node = plan.nodes[i];
-        const exec::PlanOp& op = plan.ops[node.opIndex];
+        const exec::KernelInfo& kernel = plan.kernel(i);
+        const exec::OpInfo& op = plan.opInfo(plan.nodes[i].opIndex);
         const int track =
             lanes.at({op.stageIndex, ev.stream});
         const std::int64_t instances =
-            std::min<std::int64_t>(node.repeat, maxRepeatInstances);
+            std::min<std::int64_t>(kernel.repeat, maxRepeatInstances);
         const double per_instance =
-            ev.durationSeconds() / static_cast<double>(node.repeat);
+            ev.durationSeconds() / static_cast<double>(kernel.repeat);
 
-        std::string name(plan.str(node.label));
-        if (instances < node.repeat) {
-            name += " [x" + std::to_string(node.repeat) + ", showing " +
+        std::string name(plan.str(kernel.label));
+        if (instances < kernel.repeat) {
+            name += " [x" + std::to_string(kernel.repeat) + ", showing " +
                     std::to_string(instances) + "]";
         }
 
         Labels args;
         args.set("scope", std::string(plan.str(op.scope)));
-        args.set("lane", exec::laneName(node.lane));
-        args.set("repeat", std::to_string(node.repeat));
+        args.set("lane", exec::laneName(kernel.lane));
+        args.set("repeat", std::to_string(kernel.repeat));
 
         double ts = ev.startSeconds + timeOffsetSeconds;
         for (std::int64_t k = 0; k < instances; ++k) {
             sink.complete(track, name, ts, per_instance,
-                          kernels::kernelClassName(node.klass), args);
+                          kernels::kernelClassName(kernel.klass), args);
             ts += per_instance;
         }
     }

@@ -56,10 +56,36 @@ void
 checkPlanDataflow(const exec::ExecutionPlan& plan,
                   const PhysicsContext& ctx, DiagnosticReport& report)
 {
+    // ---- rows must point at existing shared records -----------------
+    for (std::size_t oi = 0; oi < plan.ops.size(); ++oi) {
+        if (plan.ops[oi].info >= plan.opInfos.size()) {
+            std::ostringstream oss;
+            oss << "op " << oi << " points at op record "
+                << plan.ops[oi].info << " of " << plan.opInfos.size();
+            addFinding(report, Severity::Error, rules::DanglingDefUse,
+                       ctx, "plan", oss.str());
+            return; // rows unusable; later checks would cascade
+        }
+    }
+    for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
+        if (plan.nodes[n].kernel >= plan.kernelInfos.size() ||
+            plan.nodes[n].opIndex >= plan.ops.size()) {
+            std::ostringstream oss;
+            oss << "node " << n << " points at kernel record "
+                << plan.nodes[n].kernel << " of "
+                << plan.kernelInfos.size() << " and op "
+                << plan.nodes[n].opIndex << " of " << plan.ops.size();
+            addFinding(report, Severity::Error, rules::DanglingDefUse,
+                       ctx, "plan", oss.str());
+            return;
+        }
+    }
+
     // ---- op ranges must tile the node list contiguously --------------
     std::size_t expect_first = 0;
     for (std::size_t oi = 0; oi < plan.ops.size(); ++oi) {
-        const exec::PlanOp& op = plan.ops[oi];
+        const exec::PlanOp& row = plan.ops[oi];
+        const exec::OpInfo& op = plan.opInfo(row);
         const std::string op_scope(plan.str(op.scope));
         if (op.nodeCount == 0) {
             addFinding(report, Severity::Error, rules::DanglingDefUse,
@@ -67,19 +93,20 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
                        "every traced op must own at least one node");
             continue;
         }
-        if (op.firstNode != expect_first ||
-            op.firstNode + op.nodeCount > plan.nodes.size()) {
+        if (row.firstNode != expect_first ||
+            row.firstNode + op.nodeCount > plan.nodes.size()) {
             std::ostringstream oss;
-            oss << "op node range [" << op.firstNode << ", "
-                << op.firstNode + op.nodeCount << ") does not tile the "
+            oss << "op node range [" << row.firstNode << ", "
+                << row.firstNode + op.nodeCount << ") does not tile the "
                 << plan.nodes.size() << "-node plan (expected start "
                 << expect_first << ")";
             addFinding(report, Severity::Error, rules::DanglingDefUse,
                        ctx, op_scope, oss.str());
             return; // ranges unusable; later checks would cascade
         }
-        for (std::size_t n = op.firstNode;
-             n < op.firstNode + op.nodeCount; ++n) {
+        const std::size_t first_kernel = plan.nodes[row.firstNode].kernel;
+        for (std::size_t n = row.firstNode;
+             n < row.firstNode + op.nodeCount; ++n) {
             if (plan.nodes[n].opIndex != oi) {
                 std::ostringstream oss;
                 oss << "node " << n << " claims op "
@@ -89,8 +116,20 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
                            rules::DanglingDefUse, ctx, op_scope,
                            oss.str());
             }
+            if (plan.nodes[n].kernel != first_kernel + n - row.firstNode) {
+                std::ostringstream oss;
+                oss << "node " << n << " points at kernel record "
+                    << plan.nodes[n].kernel << ", not record "
+                    << first_kernel + n - row.firstNode
+                    << " after its op's first";
+                addFinding(report, Severity::Error,
+                           rules::DanglingDefUse, ctx, op_scope,
+                           oss.str(),
+                           "an op's kernel records are consecutive, in "
+                           "node order");
+            }
         }
-        expect_first = op.firstNode + op.nodeCount;
+        expect_first = row.firstNode + op.nodeCount;
     }
     if (expect_first != plan.nodes.size()) {
         std::ostringstream oss;
@@ -106,7 +145,7 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
         for (std::int32_t d : plan.deps(node)) {
             if (d < 0 || static_cast<std::size_t>(d) >= n) {
                 std::ostringstream oss;
-                oss << "node " << n << " (" << plan.str(node.label)
+                oss << "node " << n << " (" << plan.nodeLabel(n)
                     << ") depends on node " << d
                     << ", which no predecessor defines";
                 addFinding(report, Severity::Error,
@@ -121,12 +160,13 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
 
     // ---- staged weights sit on the copy lane and are consumed --------
     for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
-        const exec::PlanNode& node = plan.nodes[n];
-        if (!node.weightStream)
+        const exec::KernelInfo& kernel = plan.kernel(n);
+        if (!kernel.weightStream)
             continue;
-        const exec::PlanOp& op = plan.ops[node.opIndex];
-        const std::string op_scope(plan.str(op.scope));
-        if (node.lane != exec::Lane::Copy) {
+        const exec::PlanOp& row = plan.ops[plan.nodes[n].opIndex];
+        const std::size_t end = row.firstNode + plan.opInfo(row).nodeCount;
+        const std::string op_scope(plan.opScope(plan.nodes[n].opIndex));
+        if (kernel.lane != exec::Lane::Copy) {
             std::ostringstream oss;
             oss << "weight-stream node " << n
                 << " runs on the compute lane";
@@ -134,12 +174,10 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
                        ctx, op_scope, oss.str());
         }
         bool consumed = false;
-        for (std::size_t j = n + 1;
-             j < op.firstNode + op.nodeCount && !consumed; ++j) {
-            const exec::PlanNode& reader = plan.nodes[j];
-            if (reader.lane != exec::Lane::Compute)
+        for (std::size_t j = n + 1; j < end && !consumed; ++j) {
+            if (plan.kernel(j).lane != exec::Lane::Compute)
                 continue;
-            const auto reader_deps = plan.deps(reader);
+            const auto reader_deps = plan.deps(j);
             consumed = std::find(reader_deps.begin(),
                                  reader_deps.end(),
                                  static_cast<std::int32_t>(n)) !=
@@ -161,7 +199,7 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
     std::size_t prev_compute = plan.nodes.size();
     for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
         const exec::PlanNode& node = plan.nodes[n];
-        if (node.lane != exec::Lane::Compute)
+        if (plan.kernel(node).lane != exec::Lane::Compute)
             continue;
         if (prev_compute < plan.nodes.size()) {
             const auto node_deps = plan.deps(node);
@@ -172,7 +210,7 @@ checkPlanDataflow(const exec::ExecutionPlan& plan,
             if (!chained) {
                 std::ostringstream oss;
                 oss << "compute node " << n << " ("
-                    << plan.str(node.label)
+                    << plan.nodeLabel(n)
                     << ") is not chained to compute predecessor "
                     << prev_compute
                     << "; its input activation has no defining edge";
@@ -234,7 +272,8 @@ checkMemoryProfile(const exec::ExecutionPlan& plan,
     }
 
     // ---- P011: per-op demand conserved against cost-model traffic ----
-    for (const exec::PlanOp& op : plan.ops) {
+    for (const exec::PlanOp& row : plan.ops) {
+        const exec::OpInfo& op = plan.opInfo(row);
         const std::string op_scope(plan.str(op.scope));
         bool op_sane = true;
         op_sane &= finiteBytes(report, ctx, op_scope, "inputBytes",
@@ -248,12 +287,12 @@ checkMemoryProfile(const exec::ExecutionPlan& plan,
                                op.weightReadBytes);
         op_sane &= finiteBytes(report, ctx, op_scope, "workspaceBytes",
                                op.workspaceBytes);
-        if (!op_sane || op.firstNode + op.nodeCount > plan.nodes.size())
+        if (!op_sane || row.firstNode + op.nodeCount > plan.nodes.size())
             continue;
         double traffic = 0.0;
-        for (std::size_t n = op.firstNode;
-             n < op.firstNode + op.nodeCount; ++n)
-            traffic += plan.nodes[n].hbmBytes;
+        for (std::size_t n = row.firstNode;
+             n < row.firstNode + op.nodeCount; ++n)
+            traffic += plan.kernel(n).hbmBytes;
         const double demand =
             op.inputBytes + op.outputBytes + op.weightReadBytes;
         if (!atMost(demand, traffic)) {

@@ -34,7 +34,9 @@
 namespace mmgen::verify {
 
 /**
- * S013: plan dataflow integrity. Every dependency edge points at a
+ * S013: plan dataflow integrity. Every op and node row points at an
+ * existing shared record, an op's nodes at consecutive kernel
+ * records, every dependency edge points at a
  * strictly lower node index, op node ranges tile [0, nodes.size())
  * contiguously with matching back-pointers, every weight-stream node
  * sits on the Copy lane and is consumed by a later compute kernel of

@@ -41,7 +41,7 @@ nodeScope(const exec::ExecutionPlan& plan, std::size_t node)
     const std::string_view scope = n.opIndex < plan.ops.size()
                                        ? plan.opScope(n.opIndex)
                                        : std::string_view();
-    const std::string_view label = plan.str(n.label);
+    const std::string_view label = plan.nodeLabel(node);
     if (scope.empty())
         return std::string(label);
     std::string out(scope);

@@ -15,6 +15,9 @@
  * lowering sizes the plan arrays once, so a longer decode must not add
  * any. A plan array that regrows geometrically adds about two per
  * fourfold decode.
+ *
+ * Finally it pins the absolute bytes of a long Parti decode against
+ * the figure of a lowering that copied every step's records.
  */
 
 #include <gtest/gtest.h>
@@ -71,9 +74,13 @@ struct LoweringCost
 
 /** Bytes allocated by lowering `pipeline` (the plan's size too). */
 LoweringCost
-lowerCounted(const graph::Pipeline& pipeline)
+lowerCounted(const graph::Pipeline& pipeline,
+             graph::AttentionBackend backend =
+                 graph::AttentionBackend::Flash)
 {
-    const profiler::Profiler profiler;
+    profiler::ProfileOptions options;
+    options.backend = backend;
+    const profiler::Profiler profiler(options);
     bytesAllocated = 0;
     largeAllocations = 0;
     counting = true;
@@ -142,6 +149,33 @@ TEST(LoweringLinearity, PartiLongerDecodeAddsNoLargeAllocations)
     ASSERT_GT(a.large, 0u);
     EXPECT_LE(b.large, a.large)
         << "a plan array regrew instead of being sized once";
+}
+
+TEST(LoweringLinearity, PartiDecodeStepsShareRecords)
+{
+    // Bytes this counter saw lowering Parti grid 16 with a lowering
+    // that wrote a full op record per op and a kernel record plus cost
+    // row per node on every decode step. A replayed step appends only
+    // index rows pointing at the previous step's records and traces
+    // into reused op slots, which must at least halve the bytes.
+    const struct
+    {
+        graph::AttentionBackend backend;
+        std::size_t copiedRecordBytes;
+    } cases[] = {{graph::AttentionBackend::Flash, 115'467'348},
+                 {graph::AttentionBackend::Baseline, 140'683'830}};
+    models::PartiConfig config;
+    config.imageGrid = 16;
+    const graph::Pipeline parti = models::buildParti(config);
+    for (const auto& c : cases) {
+        const LoweringCost cost = lowerCounted(parti, c.backend);
+        std::cout << "Parti grid 16 "
+                  << graph::attentionBackendName(c.backend) << ": "
+                  << cost.bytes << " bytes (per-step records: "
+                  << c.copiedRecordBytes << ")\n";
+        EXPECT_LE(cost.bytes, c.copiedRecordBytes / 2)
+            << graph::attentionBackendName(c.backend);
+    }
 }
 
 } // namespace

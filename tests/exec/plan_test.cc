@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "exec/plan.hh"
 #include "graph/builder.hh"
@@ -81,25 +83,25 @@ TEST(LowerPipeline, FoldedStageKeepsProvenance)
     ASSERT_EQ(plan.nodes.size(), 2u);
     EXPECT_FALSE(plan.hasWeightStreams);
 
-    const PlanOp& conv = plan.ops[0];
+    const OpInfo& conv = plan.opInfo(0);
     EXPECT_EQ(conv.kind, graph::OpKind::Conv2D);
     EXPECT_EQ(conv.stageIndex, 0u);
     EXPECT_EQ(conv.repeat, 5);
     EXPECT_GT(conv.paramCount, 0);
-    EXPECT_EQ(conv.firstNode, 0u);
+    EXPECT_EQ(plan.ops[0].firstNode, 0u);
     EXPECT_EQ(conv.nodeCount, 1u);
 
-    const PlanOp& attn = plan.ops[1];
+    const OpInfo& attn = plan.opInfo(1);
     EXPECT_EQ(attn.kind, graph::OpKind::Attention);
     EXPECT_EQ(attn.seqQ, 256);
     EXPECT_EQ(attn.seqKv, 256);
     EXPECT_EQ(attn.attnKind, graph::AttentionKind::SelfSpatial);
-    EXPECT_EQ(attn.firstNode, 1u);
+    EXPECT_EQ(plan.ops[1].firstNode, 1u);
     EXPECT_EQ(attn.nodeCount, 1u);
 
-    EXPECT_EQ(plan.str(plan.nodes[0].label), "conv2d");
-    EXPECT_EQ(plan.str(plan.nodes[1].label), "flash_fused");
-    for (const PlanNode& node : plan.nodes) {
+    EXPECT_EQ(plan.nodeLabel(0), "conv2d");
+    EXPECT_EQ(plan.nodeLabel(1), "flash_fused");
+    for (const KernelInfo& node : plan.kernelInfos) {
         EXPECT_EQ(node.lane, Lane::Compute);
         EXPECT_FALSE(node.weightStream);
         EXPECT_EQ(node.repeat, 5);
@@ -122,13 +124,12 @@ TEST(LowerPipeline, BaselineAttentionLowersToKernelChain)
     ASSERT_EQ(plan.ops.size(), 2u);
     const PlanOp& attn = plan.ops[1];
     // qk_gemm, scale, softmax, av_gemm (no causal mask here).
-    ASSERT_EQ(attn.nodeCount, 4u);
-    EXPECT_EQ(plan.str(plan.nodes[attn.firstNode].label), "qk_gemm");
-    EXPECT_EQ(plan.str(plan.nodes[attn.firstNode + 3].label),
-              "av_gemm");
+    ASSERT_EQ(plan.opInfo(attn).nodeCount, 4u);
+    EXPECT_EQ(plan.nodeLabel(attn.firstNode), "qk_gemm");
+    EXPECT_EQ(plan.nodeLabel(attn.firstNode + 3), "av_gemm");
     // The chain is dependency-linked node to node.
-    for (std::size_t n = attn.firstNode + 1;
-         n < attn.firstNode + attn.nodeCount; ++n) {
+    for (std::size_t n = attn.firstNode + 1; n < attn.firstNode + 4;
+         ++n) {
         ASSERT_EQ(plan.deps(n).size(), 1u);
         EXPECT_EQ(plan.deps(n)[0], static_cast<std::int32_t>(n) - 1);
     }
@@ -151,8 +152,8 @@ TEST(LowerPipeline, PerIterationStagesTraceEveryStep)
 
     ASSERT_EQ(plan.ops.size(), 4u);
     for (std::size_t oi = 0; oi < plan.ops.size(); ++oi) {
-        EXPECT_EQ(plan.ops[oi].repeat, 1);
-        EXPECT_EQ(plan.ops[oi].seqKv,
+        EXPECT_EQ(plan.opInfo(oi).repeat, 1);
+        EXPECT_EQ(plan.opInfo(oi).seqKv,
                   static_cast<std::int64_t>(oi) + 1);
     }
 }
@@ -176,8 +177,8 @@ TEST(LowerPipeline, DepsAlwaysPointBackward)
         std::size_t next = 0;
         for (const PlanOp& op : plan.ops) {
             EXPECT_EQ(op.firstNode, next);
-            EXPECT_GE(op.nodeCount, 1u);
-            next += op.nodeCount;
+            EXPECT_GE(plan.opInfo(op).nodeCount, 1u);
+            next += plan.opInfo(op).nodeCount;
         }
         EXPECT_EQ(next, plan.nodes.size());
     }
@@ -201,9 +202,9 @@ TEST(LowerPipeline, WeightSplittingPeelsCopyNodes)
 
     for (std::size_t oi = 0; oi < streamed.ops.size(); ++oi) {
         const PlanOp& op = streamed.ops[oi];
-        ASSERT_EQ(op.nodeCount, 2u);
-        const PlanNode& w = streamed.nodes[op.firstNode];
-        const PlanNode& k = streamed.nodes[op.firstNode + 1];
+        ASSERT_EQ(streamed.opInfo(op).nodeCount, 2u);
+        const KernelInfo& w = streamed.kernel(op.firstNode);
+        const KernelInfo& k = streamed.kernel(op.firstNode + 1);
         EXPECT_TRUE(w.weightStream);
         EXPECT_EQ(w.lane, Lane::Copy);
         EXPECT_EQ(w.klass, kernels::KernelClass::Memory);
@@ -216,11 +217,11 @@ TEST(LowerPipeline, WeightSplittingPeelsCopyNodes)
         EXPECT_EQ(k.lane, Lane::Compute);
         // The compute kernel depends on its weight prefetch, and
         // traffic is conserved: split bytes sum to the fused bytes.
-        const auto k_deps = streamed.deps(k);
+        const auto k_deps = streamed.deps(op.firstNode + 1);
         EXPECT_NE(std::find(k_deps.begin(), k_deps.end(),
                             static_cast<std::int32_t>(op.firstNode)),
                   k_deps.end());
-        const PlanNode& fused = plain.nodes[plain.ops[oi].firstNode];
+        const KernelInfo& fused = plain.kernel(plain.ops[oi].firstNode);
         EXPECT_DOUBLE_EQ(w.hbmBytes + k.hbmBytes, fused.hbmBytes);
         EXPECT_DOUBLE_EQ(k.flops, fused.flops);
         EXPECT_EQ(k.launches, fused.launches);
@@ -243,7 +244,7 @@ TEST(LowerPipeline, SplitThresholdKeepsSmallWeightsFused)
     const ExecutionPlan plan =
         lowerPipeline(mlpPipeline(), costModel(), split);
     EXPECT_FALSE(plan.hasWeightStreams);
-    for (const PlanNode& node : plan.nodes)
+    for (const KernelInfo& node : plan.kernelInfos)
         EXPECT_FALSE(node.weightStream);
 }
 
@@ -318,9 +319,11 @@ expectSameBits(double a, double b, const std::string& what)
 }
 
 /**
- * Field-by-field plan equality: ops (except stageIndex, which the
- * unrolled oracle numbers differently), nodes, deps resolved through
- * plan.deps(), and cost rows.
+ * Resolved plan equality: each op's record (except stageIndex, which
+ * the unrolled oracle numbers differently) and node range, and each
+ * node's op, kernel record, cost row and deps resolved through
+ * plan.deps(). Record indices are not compared: a replayed plan shares
+ * records the oracle stores once per row.
  */
 void
 expectSamePlan(const ExecutionPlan& got, const ExecutionPlan& want)
@@ -330,8 +333,8 @@ expectSamePlan(const ExecutionPlan& got, const ExecutionPlan& want)
     EXPECT_EQ(got.hasWeightStreams, want.hasWeightStreams);
     EXPECT_EQ(got.totalParams, want.totalParams);
     for (std::size_t i = 0; i < got.ops.size(); ++i) {
-        const PlanOp& a = got.ops[i];
-        const PlanOp& b = want.ops[i];
+        const OpInfo& a = got.opInfo(i);
+        const OpInfo& b = want.opInfo(i);
         const std::string at = "op " + std::to_string(i);
         ASSERT_EQ(a.kind, b.kind) << at;
         EXPECT_EQ(a.category, b.category) << at;
@@ -347,16 +350,18 @@ expectSamePlan(const ExecutionPlan& got, const ExecutionPlan& want)
         expectSameBits(a.weightResidentBytes, b.weightResidentBytes, at);
         expectSameBits(a.weightReadBytes, b.weightReadBytes, at);
         expectSameBits(a.workspaceBytes, b.workspaceBytes, at);
-        ASSERT_EQ(a.firstNode, b.firstNode) << at;
+        ASSERT_EQ(got.ops[i].firstNode, want.ops[i].firstNode) << at;
         ASSERT_EQ(a.nodeCount, b.nodeCount) << at;
     }
-    ASSERT_TRUE(got.costs.matches(want.costs.gpuKey, got.nodes.size()));
-    ASSERT_TRUE(want.costs.matches(got.costs.gpuKey, want.nodes.size()));
+    ASSERT_TRUE(
+        got.costs.matches(want.costs.gpuKey, got.kernelInfos.size()));
+    ASSERT_TRUE(
+        want.costs.matches(got.costs.gpuKey, want.kernelInfos.size()));
     for (std::size_t n = 0; n < got.nodes.size(); ++n) {
-        const PlanNode& a = got.nodes[n];
-        const PlanNode& b = want.nodes[n];
+        const KernelInfo& a = got.kernel(n);
+        const KernelInfo& b = want.kernel(n);
         const std::string at = "node " + std::to_string(n);
-        ASSERT_EQ(a.opIndex, b.opIndex) << at;
+        ASSERT_EQ(got.nodes[n].opIndex, want.nodes[n].opIndex) << at;
         EXPECT_EQ(a.klass, b.klass) << at;
         EXPECT_EQ(got.nodeLabel(n), want.nodeLabel(n)) << at;
         EXPECT_EQ(a.lane, b.lane) << at;
@@ -372,11 +377,13 @@ expectSamePlan(const ExecutionPlan& got, const ExecutionPlan& want)
         const auto db = want.deps(n);
         ASSERT_TRUE(std::equal(da.begin(), da.end(), db.begin(), db.end()))
             << at;
-        expectSameBits(got.costs.seconds[n], want.costs.seconds[n], at);
-        expectSameBits(got.costs.execSeconds[n], want.costs.execSeconds[n],
-                       at);
-        expectSameBits(got.costs.overheadSeconds[n],
-                       want.costs.overheadSeconds[n], at);
+        const std::uint32_t ka = got.nodes[n].kernel;
+        const std::uint32_t kb = want.nodes[n].kernel;
+        expectSameBits(got.costs.seconds[ka], want.costs.seconds[kb], at);
+        expectSameBits(got.costs.execSeconds[ka],
+                       want.costs.execSeconds[kb], at);
+        expectSameBits(got.costs.overheadSeconds[ka],
+                       want.costs.overheadSeconds[kb], at);
     }
 }
 
@@ -385,8 +392,11 @@ expectReplayMatchesUnrolled(const Pipeline& p,
                             const kernels::CostModel& model,
                             const LoweringOptions& options = {})
 {
-    expectSamePlan(lowerPipeline(p, model, options),
-                   lowerPipeline(unrolled(p), model, options));
+    const ExecutionPlan oracle = lowerPipeline(unrolled(p), model, options);
+    // The oracle shares nothing: one record per row.
+    EXPECT_EQ(oracle.opInfos.size(), oracle.ops.size());
+    EXPECT_EQ(oracle.kernelInfos.size(), oracle.nodes.size());
+    expectSamePlan(lowerPipeline(p, model, options), oracle);
 }
 
 TEST(StepReplay, SyntheticDecodeMatchesUnrolledSteps)
@@ -430,19 +440,79 @@ TEST(StepReplay, SyntheticDecodeMatchesUnrolledSteps)
     }
 }
 
-TEST(StepReplay, PartiAndLlamaMatchUnrolledSteps)
+/** Decode-shaped models at test size (Parti grid 8, LLaMA 64 tokens). */
+std::vector<Pipeline>
+decodeModels()
 {
     models::PartiConfig parti;
     parti.imageGrid = 8;
     models::LlamaConfig llama;
     llama.decodeTokens = 64;
-    for (const Pipeline& p :
-         {models::buildParti(parti), models::buildLlama(llama)}) {
+    return {models::buildParti(parti), models::buildLlama(llama)};
+}
+
+TEST(StepReplay, PartiAndLlamaMatchUnrolledSteps)
+{
+    for (const Pipeline& p : decodeModels()) {
         for (const AttentionBackend backend :
              {AttentionBackend::Flash, AttentionBackend::Baseline}) {
             SCOPED_TRACE(p.name + "/" +
                          graph::attentionBackendName(backend));
             expectReplayMatchesUnrolled(p, costModel(backend));
+        }
+    }
+}
+
+/**
+ * Records a from-scratch lowering of `p` must store: one op record per
+ * op no step can replay (every op of a shape-invariant stage and of a
+ * stage's first step, and each later step's op that differs from the
+ * previous step's op at its position), and one kernel record per node
+ * of those ops (node counts read from `plan`).
+ */
+std::pair<std::size_t, std::size_t>
+fromScratchRecords(const Pipeline& p, const ExecutionPlan& plan)
+{
+    std::size_t op_records = 0;
+    std::size_t kernel_records = 0;
+    std::size_t oi = 0;
+    for (std::size_t si = 0; si < p.stages.size(); ++si) {
+        const Stage& stage = p.stages[si];
+        const std::int64_t steps =
+            stage.perIterationShapes ? stage.iterations : 1;
+        graph::Trace prev;
+        for (std::int64_t it = 0; it < steps; ++it) {
+            const graph::Trace step = p.traceStage(si, it);
+            for (std::size_t i = 0; i < step.size(); ++i, ++oi) {
+                if (i < prev.size() && step.ops()[i] == prev.ops()[i])
+                    continue;
+                ++op_records;
+                kernel_records += plan.opInfo(oi).nodeCount;
+            }
+            prev = step;
+        }
+    }
+    EXPECT_EQ(oi, plan.ops.size());
+    return {op_records, kernel_records};
+}
+
+TEST(StepReplay, RecordsOnlyWhatAStepChanges)
+{
+    for (const Pipeline& p : decodeModels()) {
+        for (const AttentionBackend backend :
+             {AttentionBackend::Flash, AttentionBackend::Baseline}) {
+            SCOPED_TRACE(p.name + "/" +
+                         graph::attentionBackendName(backend));
+            const ExecutionPlan plan = lowerPipeline(p, costModel(backend));
+            const auto [op_records, kernel_records] =
+                fromScratchRecords(p, plan);
+            EXPECT_EQ(plan.opInfos.size(), op_records);
+            EXPECT_EQ(plan.kernelInfos.size(), kernel_records);
+            EXPECT_EQ(plan.costs.seconds.size(), kernel_records);
+            // Replay shares most records: a decode step changes only a
+            // few of its ops.
+            EXPECT_LT(4 * plan.opInfos.size(), plan.ops.size());
+            EXPECT_LT(2 * plan.kernelInfos.size(), plan.nodes.size());
         }
     }
 }

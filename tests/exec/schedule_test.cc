@@ -78,7 +78,7 @@ splitPlan(const Pipeline& p)
 }
 
 double
-nodeRooflineSeconds(const PlanNode& node)
+nodeRooflineSeconds(const KernelInfo& node)
 {
     hw::TimeEstimateInputs in;
     in.flops = node.flops;
@@ -135,11 +135,12 @@ TEST(TimelineScheduler, SerialScheduleMatchesSummedRoofline)
     // repeat — the seed profiler's exact arithmetic.
     double expected = 0.0;
     for (const PlanOp& op : plan.ops) {
+        const OpInfo& info = plan.opInfo(op);
         double block = 0.0;
         for (std::size_t n = op.firstNode;
-             n < op.firstNode + op.nodeCount; ++n)
-            block += nodeRooflineSeconds(plan.nodes[n]);
-        expected += block * static_cast<double>(op.repeat);
+             n < op.firstNode + info.nodeCount; ++n)
+            block += nodeRooflineSeconds(plan.kernel(n));
+        expected += block * static_cast<double>(info.repeat);
     }
     EXPECT_EQ(tl.makespan, expected); // bitwise
     EXPECT_EQ(tl.streamBusySeconds[0], expected);
@@ -158,8 +159,8 @@ TEST(TimelineScheduler, SerialScheduleMatchesSummedRoofline)
     // Per-node attribution applies repeats.
     for (std::size_t n = 0; n < plan.nodes.size(); ++n) {
         EXPECT_EQ(tl.nodeSeconds[n],
-                  nodeRooflineSeconds(plan.nodes[n]) *
-                      static_cast<double>(plan.nodes[n].repeat));
+                  nodeRooflineSeconds(plan.kernel(n)) *
+                      static_cast<double>(plan.kernel(n).repeat));
     }
 }
 

@@ -216,5 +216,19 @@ TEST(OpKey, CopyAttrsFieldsAreKeyed)
         {{"bytes", [](CopyAttrs& a) { ++a.bytes; }}});
 }
 
+TEST(OpKey, AttrsAlternativeIsKeyed)
+{
+    // Same kind, scope, dtype, repeat and field words, but different
+    // attrs structs: unequal ops must not share a fingerprint.
+    Op softmax;
+    softmax.kind = OpKind::Softmax;
+    softmax.scope = "model.block";
+    softmax.attrs = SoftmaxAttrs{2, 3};
+    Op resample = softmax;
+    resample.attrs = ResampleAttrs{2, 3};
+    EXPECT_FALSE(softmax == resample);
+    EXPECT_NE(opFingerprint(softmax), opFingerprint(resample));
+}
+
 } // namespace
 } // namespace mmgen::graph

@@ -1,12 +1,19 @@
 /**
  * @file
- * Tests for pipelines and traces: stage tracing, parameter counting.
+ * Tests for pipelines and traces: stage tracing, parameter counting,
+ * and traces reused across stages.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "graph/pipeline.hh"
 #include "models/llama.hh"
+#include "serving/latency_surface.hh"
 #include "util/logging.hh"
 
 namespace mmgen::graph {
@@ -180,6 +187,80 @@ TEST(Pipeline, TraceIntoReusedBufferMatchesFreshTraceLlamaDecode)
         EXPECT_EQ(opStream(buffer), opStream(p.traceStage(decode, iter)))
             << "iter " << iter;
     }
+}
+
+/** `got` equals a fresh trace: size, ops, params and per-op hashes. */
+void
+expectSameTrace(const Trace& got, const Trace& want,
+                const std::string& what)
+{
+    EXPECT_EQ(got.size(), want.size()) << what;
+    EXPECT_TRUE(std::equal(got.ops().begin(), got.ops().end(),
+                           want.ops().begin(), want.ops().end()))
+        << what;
+    EXPECT_EQ(got.totalParams(), want.totalParams()) << what;
+    EXPECT_EQ(opStream(got), opStream(want)) << what;
+}
+
+TEST(Trace, ReusedSlotsMatchFreshTraces)
+{
+    Pipeline p;
+    p.name = "slots";
+    Stage wide;
+    wide.name = "a_stage_name_longer_than_any_small_string_buffer";
+    wide.iterations = 1;
+    wide.emit = [](GraphBuilder& b, std::int64_t) {
+        const TensorDesc x({1, 16, 64}, DType::F16);
+        for (int l = 0; l < 6; ++l) {
+            auto s = b.scope("layer" + std::to_string(l));
+            b.layerNorm(x);
+            b.linear(x, 64);
+            b.attention(AttentionKind::SelfSpatial, 1, 4, 16, 16, 16);
+            b.activation(x, "a_label_longer_than_a_small_string", 3.0);
+        }
+    };
+    Stage narrow;
+    narrow.name = "n";
+    narrow.iterations = 1;
+    narrow.emit = [](GraphBuilder& b, std::int64_t) {
+        b.linear(TensorDesc({1, 8}, DType::F16), 8, false);
+        b.softmax(TensorDesc({1, 8}, DType::F16));
+    };
+    // Other op kinds, appended verbatim with repeat > 1.
+    Stage folded;
+    folded.name = "folded";
+    folded.iterations = 1;
+    folded.emit = [](GraphBuilder& b, std::int64_t) {
+        Op conv;
+        conv.kind = OpKind::Conv2D;
+        conv.scope = "folded.conv";
+        conv.attrs = ConvAttrs{1, 8, 8, 16, 16};
+        conv.repeat = 3;
+        b.appendOp(conv);
+        Op up;
+        up.kind = OpKind::Upsample;
+        up.scope = "f";
+        up.attrs = ResampleAttrs{64, 256};
+        up.dtype = DType::F32;
+        up.repeat = 5;
+        b.appendOp(up);
+    };
+    p.stages = {wide, narrow, folded};
+    // Batch-scaled: its emitter appends the rewritten ops through
+    // appendOp, repeats kept.
+    const Pipeline scaled = serving::scaledPipeline(p, 2, 1.0);
+
+    Trace buffer;
+    // Long, shorter, other kinds with repeats, then the long and
+    // short stages again over slots the repeated ops last held.
+    const std::pair<const Pipeline*, std::size_t> order[] = {
+        {&p, 0}, {&p, 1}, {&scaled, 2}, {&p, 0}, {&scaled, 1}, {&p, 2}};
+    for (const auto& [pipe, si] : order) {
+        pipe->traceStage(si, 0, buffer);
+        expectSameTrace(buffer, pipe->traceStage(si, 0),
+                        pipe->name + "/" + pipe->stages[si].name);
+    }
+    EXPECT_EQ(buffer.ops()[0].repeat, 3);
 }
 
 } // namespace

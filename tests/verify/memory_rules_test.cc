@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "exec/memory.hh"
 #include "exec/plan.hh"
@@ -30,12 +31,13 @@ struct Lowered
 };
 
 Lowered
-lowerStableDiffusion()
+lowerStableDiffusion(
+    graph::AttentionBackend backend = graph::AttentionBackend::Flash)
 {
     const graph::Pipeline p =
         models::buildModel(models::ModelId::StableDiffusion);
     const hw::GpuSpec gpu = hw::GpuSpec::a100_80gb();
-    const kernels::CostModel model(gpu, graph::AttentionBackend::Flash,
+    const kernels::CostModel model(gpu, backend,
                                    kernels::EfficiencyParams::defaults());
     Lowered l;
     l.plan = exec::lowerPipeline(p, model);
@@ -107,6 +109,35 @@ TEST(PlanDataflow, BrokenOpRangeFiresS013)
     EXPECT_TRUE(report.fired(rules::DanglingDefUse));
 }
 
+TEST(PlanDataflow, BrokenRecordIndexFiresS013)
+{
+    // Baseline attention lowers to a kernel chain: ops of several nodes.
+    const Lowered clean =
+        lowerStableDiffusion(graph::AttentionBackend::Baseline);
+    // A node row pointing past the kernel records.
+    Lowered l = clean;
+    l.plan.nodes[2].kernel =
+        static_cast<std::uint32_t>(l.plan.kernelInfos.size());
+    DiagnosticReport report;
+    checkPlanDataflow(l.plan, ctxFor(l.plan), report);
+    EXPECT_TRUE(report.fired(rules::DanglingDefUse));
+
+    // Two nodes of one op pointing at each other's kernel records.
+    l = clean;
+    const auto multi = std::find_if(
+        l.plan.ops.begin(), l.plan.ops.end(),
+        [&](const exec::PlanOp& o) {
+            return l.plan.opInfo(o).nodeCount >= 2;
+        });
+    ASSERT_NE(multi, l.plan.ops.end());
+    const std::size_t first = multi->firstNode;
+    std::swap(l.plan.nodes[first].kernel, l.plan.nodes[first + 1].kernel);
+    DiagnosticReport swapped;
+    checkPlanDataflow(l.plan, ctxFor(l.plan), swapped);
+    EXPECT_TRUE(swapped.fired(rules::DanglingDefUse))
+        << swapped.render();
+}
+
 TEST(PlanDataflow, BrokenComputeChainFiresS013)
 {
     Lowered l = lowerStableDiffusion();
@@ -116,7 +147,7 @@ TEST(PlanDataflow, BrokenComputeChainFiresS013)
     std::size_t prev_compute = 0;
     bool seen_compute = false;
     for (std::size_t i = 0; i < l.plan.nodes.size() && !cut; ++i) {
-        if (l.plan.nodes[i].lane != exec::Lane::Compute)
+        if (l.plan.kernel(i).lane != exec::Lane::Compute)
             continue;
         const auto deps = l.plan.deps(i);
         if (seen_compute && !deps.empty() &&
@@ -141,8 +172,11 @@ TEST(PlanDataflow, ComputeLaneWeightStreamFiresS013)
     Lowered l = lowerStableDiffusion();
     // Weight staging must live on the Copy lane; a compute-lane
     // "prefetch" has no consumer in the liveness model.
-    l.plan.nodes[3].weightStream = true;
-    ASSERT_EQ(l.plan.nodes[3].lane, exec::Lane::Compute);
+    // Stable Diffusion shares no records, so this edits node 3 only.
+    exec::KernelInfo& kernel =
+        l.plan.kernelInfos[l.plan.nodes[3].kernel];
+    kernel.weightStream = true;
+    ASSERT_EQ(kernel.lane, exec::Lane::Compute);
     DiagnosticReport report;
     checkPlanDataflow(l.plan, ctxFor(l.plan), report);
     EXPECT_TRUE(report.fired(rules::DanglingDefUse));
@@ -164,7 +198,7 @@ TEST(MemoryRules, TamperedTrafficFiresP011)
     // accounting now claims bytes no kernel ever moved.
     std::size_t victim = l.plan.ops.size();
     for (std::size_t i = 0; i < l.plan.ops.size(); ++i) {
-        const exec::PlanOp& op = l.plan.ops[i];
+        const exec::OpInfo& op = l.plan.opInfo(i);
         if (op.inputBytes + op.outputBytes + op.weightReadBytes >
             0.0) {
             victim = i;
@@ -173,9 +207,9 @@ TEST(MemoryRules, TamperedTrafficFiresP011)
     }
     ASSERT_LT(victim, l.plan.ops.size());
     const exec::PlanOp& op = l.plan.ops[victim];
-    for (std::size_t n = op.firstNode; n < op.firstNode + op.nodeCount;
-         ++n)
-        l.plan.nodes[n].hbmBytes = 0.0;
+    for (std::size_t n = op.firstNode;
+         n < op.firstNode + l.plan.opInfo(op).nodeCount; ++n)
+        l.plan.kernelInfos[l.plan.nodes[n].kernel].hbmBytes = 0.0;
 
     const DiagnosticReport report =
         verifyMemory(l.plan, l.timeline, hw::GpuSpec::a100_80gb(),

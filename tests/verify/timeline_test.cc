@@ -125,7 +125,7 @@ TEST(TimelineVerifier, DependencyViolationFiresP007)
         bool corrupted = false;
         for (const std::int32_t dep : plan.deps(n)) {
             const auto d = static_cast<std::size_t>(dep);
-            if (plan.nodes[d].lane == exec::Lane::Copy &&
+            if (plan.kernel(d).lane == exec::Lane::Copy &&
                 tl.eventEnd[d] > 0.0) {
                 const double width = tl.eventDuration(n);
                 tl.eventStart[n] = tl.eventEnd[d] * 0.25;
