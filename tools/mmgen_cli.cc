@@ -2,20 +2,16 @@
  * @file
  * mmgen command-line interface.
  *
- * Subcommands:
- *   list                          the model suite and GPU presets
- *   profile <model> [options]     one-model operator breakdown
- *   suite [options]               Table II / breakdown across models
- *   taxonomy                      Table I labels
- *   footprint                     peak-memory report
- *   trace <model> <out.json>      Chrome/Perfetto timeline export
- *
- * Options:
- *   --gpu a100|v100|h100          simulated device (default a100)
- *   --backend baseline|flash|flash_decode   attention backend
+ * Two tables declare the whole front end: `kCommands` (each
+ * subcommand's positional arguments, help line and handler) and
+ * `kFlags` (each flag once, with its help, the subcommands whose code
+ * reads it, and its setter into `Options`). The parser is a lookup
+ * into `kFlags` that rejects a flag the subcommand does not read, and
+ * `mmgen` with no arguments renders both tables as its usage text.
  */
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -48,144 +44,6 @@ namespace {
 
 using namespace mmgen;
 
-int
-usage()
-{
-    std::cerr
-        << "usage: mmgen <command> [options]\n"
-        << "  list                        models and GPU presets\n"
-        << "  profile <model> [options]   one-model breakdown\n"
-        << "  hotspots <model> [options]  top operator sites by time\n"
-        << "  suite [options]             both-backend suite run\n"
-        << "  taxonomy                    Table I labels\n"
-        << "  footprint                   peak-memory report\n"
-        << "  trace <model> <out.json>    Chrome trace export\n"
-        << "  serve <model> [options]     fault-tolerant serving sim\n"
-        << "  stats [options]             run the suite, print runtime\n"
-        << "                              cache / thread-pool counters\n"
-        << "  lint [--model X|--all]      graph & physics verifier\n"
-        << "  analyze --memory [--model X|--all]\n"
-        << "                              static memory-liveness\n"
-        << "                              analysis & admission bound\n"
-        << "options:\n"
-        << "  --gpu a100|v100|h100        (default a100)\n"
-        << "  --backend baseline|flash|flash_decode\n"
-        << "  --jobs N                    parallel sweep/lint lanes\n"
-        << "                              (default: MMGEN_JOBS env,\n"
-        << "                              else hardware threads)\n"
-        << "  --no-disk-cache             skip the persistent profile\n"
-        << "                              cache (MMGEN_CACHE_DIR, else\n"
-        << "                              $XDG_CACHE_HOME/mmgen, else\n"
-        << "                              ~/.cache/mmgen)\n"
-        << "profile/trace options (timeline scheduler):\n"
-        << "  --trace FILE                also write the profiled\n"
-        << "                              timeline as Chrome-trace\n"
-        << "                              JSON (profile subcommand)\n"
-        << "  --streams N                 hardware streams (default 1;\n"
-        << "                              2 overlaps weight copies)\n"
-        << "  --launch-depth N            host launch-queue depth\n"
-        << "                              (default 0 = synchronous)\n"
-        << "  --graph-launch              amortize repeated launches\n"
-        << "                              as a captured CUDA graph\n"
-        << "  --graph-replay-frac F       overhead fraction each graph\n"
-        << "                              replay still pays (default 0)\n"
-        << "  --stream-weights            peel weight traffic of\n"
-        << "                              memory-bound kernels onto\n"
-        << "                              the copy stream\n"
-        << "serve options:\n"
-        << "  --rate R --gpus N --batch B --horizon S --seed S\n"
-        << "  --mix NAME                  client workload mix\n"
-        << "                              (poisson|interactive|\n"
-        << "                              bursty|diurnal|production)\n"
-        << "  --continuous                continuous batching at\n"
-        << "                              iteration boundaries\n"
-        << "                              (implies --surface)\n"
-        << "  --surface                   price batches off the\n"
-        << "                              exec-profiled latency\n"
-        << "                              surface instead of the\n"
-        << "                              linear model\n"
-        << "  --mtbf S --mttr S           per-GPU failure process\n"
-        << "  --preempt-mtbf S --preempt-mean S\n"
-        << "  --straggler-frac F --straggler-slowdown X\n"
-        << "  --deadline S --timeout S    request SLO / batch abort\n"
-        << "  --retries N --max-queue N   retry budget / admission\n"
-        << "  --degrade-threshold N       queue depth to degrade at\n"
-        << "  --degrade-steps F           fraction of denoise steps\n"
-        << "                              kept in degraded mode\n"
-        << "serve cluster options (--replicas or --chaos selects the\n"
-        << "cluster simulator; --gpus then means GPUs per replica):\n"
-        << "  --replicas N                replica pools behind router\n"
-        << "  --router round-robin|least-loaded|domain-aware\n"
-        << "  --chaos NAME                none|kill-replica|\n"
-        << "                              kill-replica-at-zero|\n"
-        << "                              rolling-kill|degrade-domain|\n"
-        << "                              straggle-gpu\n"
-        << "  --hedge-delay S             hedge after S seconds, or\n"
-        << "  --hedge-quantile Q          derive delay from the\n"
-        << "                              Q-quantile batch service\n"
-        << "  --breaker-threshold N       failures to open breaker\n"
-        << "  --breaker-open S            open duration before probe\n"
-        << "  --ckpt-interval N           checkpoint every N iters of\n"
-        << "                              the dominant pipeline stage\n"
-        << "  --ckpt-cost S               GPU-seconds per checkpoint\n"
-        << "  --probe-interval S          health-probe period\n"
-        << "  --domain-size N             replicas per failure domain\n"
-        << "                              (default 1: one per replica)\n"
-        << "  --domain-mtbf S --domain-mttr S\n"
-        << "                              correlated rack outages\n"
-        << "telemetry options (profile / serve / stats):\n"
-        << "  --metrics-out FILE          JSON-lines metrics dump\n"
-        << "  --prom-out FILE             Prometheus text metrics\n"
-        << "  --trace-out FILE            Chrome trace of serving\n"
-        << "                              spans merged with the exec\n"
-        << "                              timeline\n"
-        << "  --sample-interval S         sample serving state every\n"
-        << "                              S sim-seconds into time\n"
-        << "                              series (serve only)\n"
-        << "lint options:\n"
-        << "  --model X | --all           lint one model or the zoo\n"
-        << "  --json                      machine-readable findings\n"
-        << "  --rules                     list the rule registry\n"
-        << "  --no-physics --no-probes    structural checks only\n"
-        << "  --no-memory                 skip the memory-liveness\n"
-        << "                              pass (S013/P010/P011)\n"
-        << "  --suppress RULE             drop one rule's findings\n"
-        << "                              (repeatable)\n"
-        << "analyze options:\n"
-        << "  --memory                    the liveness analysis (peak\n"
-        << "                              residency, reuse bounds,\n"
-        << "                              max feasible batch)\n"
-        << "  --model X | --all --json    as for lint\n";
-    return 2;
-}
-
-hw::GpuSpec
-parseGpu(const std::string& name)
-{
-    if (name == "a100")
-        return hw::GpuSpec::a100_80gb();
-    if (name == "v100")
-        return hw::GpuSpec::v100_32gb();
-    if (name == "h100")
-        return hw::GpuSpec::h100_80gb();
-    MMGEN_CHECK(false, "unknown GPU '" << name
-                                       << "' (a100|v100|h100)");
-}
-
-graph::AttentionBackend
-parseBackend(const std::string& name)
-{
-    if (name == "baseline")
-        return graph::AttentionBackend::Baseline;
-    if (name == "flash")
-        return graph::AttentionBackend::Flash;
-    if (name == "flash_decode")
-        return graph::AttentionBackend::FlashDecode;
-    MMGEN_CHECK(false, "unknown backend '"
-                           << name
-                           << "' (baseline|flash|flash_decode)");
-}
-
 models::ModelId
 parseModel(const std::string& name)
 {
@@ -197,48 +55,17 @@ parseModel(const std::string& name)
                                          << "'; see `mmgen list`");
 }
 
-double
-parseDouble(const std::string& arg, const std::string& value)
-{
-    std::size_t pos = 0;
-    double v = 0.0;
-    try {
-        v = std::stod(value, &pos);
-    } catch (const std::logic_error&) {
-        pos = 0;
-    }
-    MMGEN_CHECK(!value.empty() && pos == value.size(),
-                arg << " needs a number, got '" << value << "'");
-    return v;
-}
-
-std::int64_t
-parseInt(const std::string& arg, const std::string& value)
-{
-    std::size_t pos = 0;
-    std::int64_t v = 0;
-    try {
-        v = static_cast<std::int64_t>(std::stoll(value, &pos));
-    } catch (const std::logic_error&) {
-        pos = 0;
-    }
-    MMGEN_CHECK(!value.empty() && pos == value.size(),
-                arg << " needs an integer, got '" << value << "'");
-    return v;
-}
-
+/** Everything the flags set; `kFlags` says which subcommand reads what. */
 struct Options
 {
     hw::GpuSpec gpu = hw::GpuSpec::a100_80gb();
     graph::AttentionBackend backend = graph::AttentionBackend::Flash;
     std::vector<std::string> positional;
 
-    // profile/trace subcommand knobs
     std::string traceFile;
     exec::ScheduleOptions schedule;
     exec::LoweringOptions lowering;
 
-    // lint subcommand knobs
     bool lintAll = false;
     bool lintJson = false;
     bool lintRules = false;
@@ -247,10 +74,8 @@ struct Options
     bool lintMemory = true;
     std::vector<std::string> suppressRules;
 
-    // analyze subcommand knobs
     bool memoryAnalysis = false;
 
-    // serve subcommand knobs
     serving::ServingConfig serving;
     serving::ResilienceConfig resilience;
     std::int64_t degradeThreshold = 0;
@@ -259,8 +84,6 @@ struct Options
     bool continuous = false;
     bool useSurface = false;
 
-    // serve cluster knobs (--replicas or --chaos selects the
-    // cluster simulator)
     int replicas = 0;
     serving::RouterPolicy router = serving::RouterPolicy::LeastLoaded;
     std::string chaosName;
@@ -280,7 +103,6 @@ struct Options
      */
     bool diskCache = true;
 
-    // telemetry knobs (profile / serve / stats)
     std::string metricsOut;
     std::string promOut;
     std::string traceOut;
@@ -294,167 +116,39 @@ struct Options
     }
 };
 
-serving::RouterPolicy
-parseRouter(const std::string& name)
+/** The profiler configuration the profile/schedule flags select. */
+profiler::ProfileOptions
+profileOptions(const Options& opts, bool keepOpRecords)
 {
-    if (name == "round-robin")
-        return serving::RouterPolicy::RoundRobin;
-    if (name == "least-loaded")
-        return serving::RouterPolicy::LeastLoaded;
-    if (name == "domain-aware")
-        return serving::RouterPolicy::FailureDomainAware;
-    MMGEN_CHECK(false,
-                "unknown router '"
-                    << name
-                    << "' (round-robin|least-loaded|domain-aware)");
+    profiler::ProfileOptions popts;
+    popts.gpu = opts.gpu;
+    popts.backend = opts.backend;
+    popts.lowering = opts.lowering;
+    popts.schedule = opts.schedule;
+    popts.keepOpRecords = keepOpRecords;
+    return popts;
 }
 
-Options
-parseOptions(int argc, char** argv, int first)
+/** The models `--model X` or `--all` selects for `cmd`. */
+std::vector<models::ModelId>
+selectModels(const Options& opts, const char* cmd)
 {
-    Options opts;
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            MMGEN_CHECK(i + 1 < argc, arg << " needs a value");
-            return argv[++i];
-        };
-        auto nextDouble = [&]() { return parseDouble(arg, next()); };
-        auto nextInt = [&]() { return parseInt(arg, next()); };
-        if (arg == "--gpu")
-            opts.gpu = parseGpu(next());
-        else if (arg == "--backend")
-            opts.backend = parseBackend(next());
-        else if (arg == "--jobs") {
-            const std::int64_t jobs = nextInt();
-            MMGEN_CHECK(jobs >= 1, "--jobs must be >= 1, got "
-                                       << jobs);
-            runtime::ThreadPool::setGlobalJobs(
-                static_cast<int>(jobs));
-        }
-        else if (arg == "--rate")
-            opts.serving.arrivalRate = nextDouble();
-        else if (arg == "--gpus")
-            opts.serving.numGpus = static_cast<int>(nextInt());
-        else if (arg == "--batch")
-            opts.serving.maxBatch = static_cast<int>(nextInt());
-        else if (arg == "--horizon")
-            opts.serving.horizonSeconds = nextDouble();
-        else if (arg == "--seed")
-            opts.serving.seed =
-                static_cast<std::uint64_t>(nextInt());
-        else if (arg == "--mtbf")
-            opts.resilience.faults.failureMtbfSeconds = nextDouble();
-        else if (arg == "--mttr")
-            opts.resilience.faults.failureMttrSeconds = nextDouble();
-        else if (arg == "--preempt-mtbf")
-            opts.resilience.faults.preemptionMtbfSeconds =
-                nextDouble();
-        else if (arg == "--preempt-mean")
-            opts.resilience.faults.preemptionMeanSeconds =
-                nextDouble();
-        else if (arg == "--straggler-frac")
-            opts.resilience.faults.stragglerFraction = nextDouble();
-        else if (arg == "--straggler-slowdown")
-            opts.resilience.faults.stragglerSlowdown = nextDouble();
-        else if (arg == "--deadline")
-            opts.resilience.deadline.deadlineSeconds = nextDouble();
-        else if (arg == "--timeout")
-            opts.resilience.deadline.batchTimeoutSeconds =
-                nextDouble();
-        else if (arg == "--retries")
-            opts.resilience.retry.maxRetries =
-                static_cast<int>(nextInt());
-        else if (arg == "--max-queue")
-            opts.resilience.admission.maxQueueLength = nextInt();
-        else if (arg == "--trace")
-            opts.traceFile = next();
-        else if (arg == "--streams")
-            opts.schedule.streams = static_cast<int>(nextInt());
-        else if (arg == "--launch-depth")
-            opts.schedule.launchQueueDepth =
-                static_cast<int>(nextInt());
-        else if (arg == "--graph-launch")
-            opts.schedule.graphLaunch = true;
-        else if (arg == "--graph-replay-frac")
-            opts.schedule.graphReplayOverheadFraction = nextDouble();
-        else if (arg == "--stream-weights")
-            opts.lowering.splitWeightStreams = true;
-        else if (arg == "--model")
-            opts.positional.push_back(next());
-        else if (arg == "--all")
-            opts.lintAll = true;
-        else if (arg == "--json")
-            opts.lintJson = true;
-        else if (arg == "--rules")
-            opts.lintRules = true;
-        else if (arg == "--no-physics")
-            opts.lintPhysics = false;
-        else if (arg == "--no-probes")
-            opts.lintProbes = false;
-        else if (arg == "--no-memory")
-            opts.lintMemory = false;
-        else if (arg == "--suppress")
-            opts.suppressRules.push_back(next());
-        else if (arg == "--memory")
-            opts.memoryAnalysis = true;
-        else if (arg == "--mix")
-            opts.mixName = next();
-        else if (arg == "--continuous")
-            opts.continuous = true;
-        else if (arg == "--surface")
-            opts.useSurface = true;
-        else if (arg == "--degrade-threshold")
-            opts.degradeThreshold = nextInt();
-        else if (arg == "--degrade-steps")
-            opts.degradeStepsKept = nextDouble();
-        else if (arg == "--replicas")
-            opts.replicas = static_cast<int>(nextInt());
-        else if (arg == "--router")
-            opts.router = parseRouter(next());
-        else if (arg == "--chaos")
-            opts.chaosName = next();
-        else if (arg == "--hedge-delay")
-            opts.hedgeDelay = nextDouble();
-        else if (arg == "--hedge-quantile")
-            opts.hedgeQuantile = nextDouble();
-        else if (arg == "--breaker-threshold")
-            opts.breaker.failureThreshold =
-                static_cast<int>(nextInt());
-        else if (arg == "--breaker-open")
-            opts.breaker.openSeconds = nextDouble();
-        else if (arg == "--ckpt-interval")
-            opts.ckptInterval = nextInt();
-        else if (arg == "--ckpt-cost")
-            opts.ckptCost = nextDouble();
-        else if (arg == "--probe-interval")
-            opts.probe.intervalSeconds = nextDouble();
-        else if (arg == "--domain-size")
-            opts.domainSize = static_cast<int>(nextInt());
-        else if (arg == "--metrics-out")
-            opts.metricsOut = next();
-        else if (arg == "--prom-out")
-            opts.promOut = next();
-        else if (arg == "--trace-out")
-            opts.traceOut = next();
-        else if (arg == "--sample-interval") {
-            opts.sampleInterval = nextDouble();
-            MMGEN_CHECK(opts.sampleInterval > 0.0,
-                        "--sample-interval must be > 0, got "
-                            << opts.sampleInterval);
-        }
-        else if (arg == "--no-disk-cache")
-            opts.diskCache = false;
-        else if (arg == "--domain-mtbf")
-            opts.resilience.faults.domainMtbfSeconds = nextDouble();
-        else if (arg == "--domain-mttr")
-            opts.resilience.faults.domainMttrSeconds = nextDouble();
-        else if (!arg.empty() && arg[0] == '-')
-            MMGEN_CHECK(false, "unknown option " << arg);
-        else
-            opts.positional.push_back(arg);
+    if (opts.lintAll) {
+        MMGEN_CHECK(opts.positional.empty(),
+                    "--all and --model are mutually exclusive");
+        return models::allModels();
     }
-    return opts;
+    MMGEN_CHECK(opts.positional.size() == 1,
+                cmd << " needs --model <name> or --all");
+    return {parseModel(opts.positional[0])};
+}
+
+std::ofstream
+openOutput(const std::string& path)
+{
+    std::ofstream out(path);
+    MMGEN_CHECK(static_cast<bool>(out), "cannot open " << path);
+    return out;
 }
 
 /** Write the requested metric / trace artifacts, logging each path. */
@@ -463,25 +157,20 @@ writeTelemetryOutputs(const Options& opts,
                       const telemetry::MetricsRegistry& registry,
                       const telemetry::TraceSink& sink)
 {
-    auto open = [](const std::string& path) {
-        std::ofstream out(path);
-        MMGEN_CHECK(static_cast<bool>(out), "cannot open " << path);
-        return out;
-    };
     if (!opts.metricsOut.empty()) {
-        std::ofstream out = open(opts.metricsOut);
+        std::ofstream out = openOutput(opts.metricsOut);
         telemetry::writeMetricsJsonLines(out, registry);
         std::cout << "wrote " << registry.size() << " metrics to "
                   << opts.metricsOut << "\n";
     }
     if (!opts.promOut.empty()) {
-        std::ofstream out = open(opts.promOut);
+        std::ofstream out = openOutput(opts.promOut);
         telemetry::writePrometheus(out, registry);
         std::cout << "wrote Prometheus metrics to " << opts.promOut
                   << "\n";
     }
     if (!opts.traceOut.empty()) {
-        std::ofstream out = open(opts.traceOut);
+        std::ofstream out = openOutput(opts.traceOut);
         telemetry::writeChromeTrace(out, sink);
         std::cout << "wrote " << sink.events().size()
                   << " trace events to " << opts.traceOut << "\n";
@@ -489,27 +178,63 @@ writeTelemetryOutputs(const Options& opts,
 }
 
 /**
- * Re-profile the pipeline with records kept and merge its exec
- * timeline into `sink`, so the serving trace and the kernel-level
- * schedule land in one Perfetto document.
+ * The telemetry sinks of one `serve` run and the tail both engines
+ * share: merge the exec timeline into the serving trace, write the
+ * requested artifacts, and check the sampled series (rule P009).
  */
-void
-mergeExecTimeline(telemetry::TraceSink& sink,
-                  const graph::Pipeline& pipeline, const Options& opts)
+struct ServeTelemetry
 {
-    profiler::ProfileOptions popts;
-    popts.gpu = opts.gpu;
-    popts.backend = opts.backend;
-    popts.lowering = opts.lowering;
-    popts.schedule = opts.schedule;
-    popts.keepOpRecords = true;
-    const profiler::ProfileResult res =
-        profiler::Profiler(popts).profile(pipeline);
-    telemetry::appendTimeline(sink, *res.plan, res.timeline);
-}
+    const Options& opts;
+    telemetry::MetricsRegistry registry;
+    telemetry::TraceSink sink;
+    telemetry::Telemetry tel{&registry, &sink, opts.sampleInterval};
+
+    explicit ServeTelemetry(const Options& o) : opts(o) {}
+    ServeTelemetry(const ServeTelemetry&) = delete;
+
+    /** The hook to hand the engine: null unless an output is asked. */
+    telemetry::Telemetry*
+    hook()
+    {
+        return opts.wantsTelemetry() ? &tel : nullptr;
+    }
+
+    /** Returns the exit code: 1 when the series check finds errors. */
+    int
+    finish(const graph::Pipeline& pipeline,
+           const serving::ServingReport& r, int totalGpus)
+    {
+        if (!opts.wantsTelemetry())
+            return 0;
+        // `serve` takes no backend or schedule flags, so this is the
+        // Flash, default-schedule profile that priced the run.
+        if (!opts.traceOut.empty()) {
+            const profiler::ProfileResult res =
+                profiler::Profiler(profileOptions(opts, true))
+                    .profile(pipeline);
+            telemetry::appendTimeline(sink, *res.plan, res.timeline);
+        }
+        writeTelemetryOutputs(opts, registry, sink);
+        if (opts.sampleInterval <= 0.0)
+            return 0;
+        telemetry::SeriesExpectations expect;
+        expect.horizonSeconds = opts.serving.horizonSeconds;
+        expect.totalGpus = totalGpus;
+        expect.arrived = r.arrived;
+        expect.shed = r.shed;
+        expect.inHorizonCompleted = r.completed - r.drainCompleted;
+        expect.retries = r.retries;
+        expect.hedgesIssued = r.hedgesIssued;
+        const verify::DiagnosticReport check =
+            telemetry::checkSeriesConsistency(registry, expect);
+        if (!check.diagnostics().empty())
+            std::cout << "\n" << check.render();
+        return check.hasErrors() ? 1 : 0;
+    }
+};
 
 int
-cmdList()
+cmdList(const Options&)
 {
     std::cout << "models:\n";
     for (models::ModelId id : models::allModels()) {
@@ -528,25 +253,15 @@ cmdList()
 int
 cmdProfile(const Options& opts)
 {
-    MMGEN_CHECK(opts.positional.size() == 1,
-                "profile needs exactly one model name");
-    const models::ModelId id = parseModel(opts.positional[0]);
-    profiler::ProfileOptions popts;
-    popts.gpu = opts.gpu;
-    popts.backend = opts.backend;
-    popts.lowering = opts.lowering;
-    popts.schedule = opts.schedule;
     // The chrome-trace exporters read the retained plan + timeline.
-    popts.keepOpRecords =
-        !opts.traceFile.empty() || !opts.traceOut.empty();
-    const profiler::ProfileResult res =
-        *runtime::cachedProfile(models::buildModel(id), popts);
+    const profiler::ProfileResult res = *runtime::cachedProfile(
+        models::buildModel(parseModel(opts.positional[0])),
+        profileOptions(opts, !opts.traceFile.empty() ||
+                                 !opts.traceOut.empty()));
     std::cout << "GPU: " << opts.gpu.name << "\n\n";
     std::cout << core::profileSummary(res);
     if (!opts.traceFile.empty()) {
-        std::ofstream out(opts.traceFile);
-        MMGEN_CHECK(static_cast<bool>(out),
-                    "cannot open " << opts.traceFile);
+        std::ofstream out = openOutput(opts.traceFile);
         profiler::writeChromeTrace(out, res);
         std::cout << "\nwrote timeline ("
                   << res.timeline.eventCount() << " events) to "
@@ -582,15 +297,9 @@ cmdProfile(const Options& opts)
 int
 cmdHotspots(const Options& opts)
 {
-    MMGEN_CHECK(opts.positional.size() == 1,
-                "hotspots needs exactly one model name");
-    const models::ModelId id = parseModel(opts.positional[0]);
-    profiler::ProfileOptions popts;
-    popts.gpu = opts.gpu;
-    popts.backend = opts.backend;
-    popts.keepOpRecords = true;
     const profiler::ProfileResult res =
-        profiler::Profiler(popts).profile(models::buildModel(id));
+        profiler::Profiler(profileOptions(opts, true))
+            .profile(models::buildModel(parseModel(opts.positional[0])));
     std::cout << res.model << " on " << opts.gpu.name << " ["
               << graph::attentionBackendName(opts.backend)
               << "], total " << formatTime(res.totalSeconds) << "\n\n";
@@ -680,15 +389,9 @@ cmdServeCluster(const Options& opts, const graph::Pipeline& pipeline,
         cc.chaos = serving::namedChaosScenario(
             opts.chaosName, numReplicas, cc.horizonSeconds);
 
-    telemetry::MetricsRegistry registry;
-    telemetry::TraceSink sink;
-    telemetry::Telemetry tel;
-    tel.metrics = &registry;
-    tel.trace = &sink;
-    tel.sampleIntervalSeconds = opts.sampleInterval;
-
-    const serving::ClusterReport r = serving::simulateCluster(
-        cc, opts.wantsTelemetry() ? &tel : nullptr);
+    ServeTelemetry tel(opts);
+    const serving::ClusterReport r =
+        serving::simulateCluster(cc, tel.hook());
 
     std::cout << pipeline.name << " on " << numReplicas
               << " replica(s) x " << opts.serving.numGpus << " "
@@ -751,37 +454,12 @@ cmdServeCluster(const Options& opts, const graph::Pipeline& pipeline,
                      formatPercent(rs.availability)});
     }
     std::cout << reps.render();
-
-    if (opts.wantsTelemetry()) {
-        if (!opts.traceOut.empty())
-            mergeExecTimeline(sink, pipeline, opts);
-        writeTelemetryOutputs(opts, registry, sink);
-        if (opts.sampleInterval > 0.0) {
-            telemetry::SeriesExpectations expect;
-            expect.horizonSeconds = cc.horizonSeconds;
-            expect.totalGpus = cc.totalGpus();
-            expect.arrived = s.arrived;
-            expect.shed = s.shed;
-            expect.inHorizonCompleted =
-                s.completed - s.drainCompleted;
-            expect.retries = s.retries;
-            expect.hedgesIssued = s.hedgesIssued;
-            const verify::DiagnosticReport check =
-                telemetry::checkSeriesConsistency(registry, expect);
-            if (!check.diagnostics().empty())
-                std::cout << "\n" << check.render();
-            if (check.hasErrors())
-                return 1;
-        }
-    }
-    return 0;
+    return tel.finish(pipeline, s, cc.totalGpus());
 }
 
 int
 cmdServe(const Options& opts)
 {
-    MMGEN_CHECK(opts.positional.size() == 1,
-                "serve needs exactly one model name");
     const models::ModelId id = parseModel(opts.positional[0]);
     const graph::Pipeline pipeline = models::buildModel(id);
     const serving::LatencyModel latency =
@@ -824,13 +502,6 @@ cmdServe(const Options& opts)
         scfg.workload = workload::namedWorkloadMix(opts.mixName);
     scfg.continuousBatching = opts.continuous;
 
-    telemetry::MetricsRegistry registry;
-    telemetry::TraceSink sink;
-    telemetry::Telemetry tel;
-    tel.metrics = &registry;
-    tel.trace = &sink;
-    tel.sampleIntervalSeconds = opts.sampleInterval;
-
     // Exec-derived pricing: profile the scaled pipeline at a
     // power-of-two batch grid up to --batch, and at a size grid
     // covering the mix's heavy tail when one is configured. Without
@@ -855,8 +526,9 @@ cmdServe(const Options& opts)
         surface = serving::BatchLatencySurface::fromLatencyModel(
             latency, scfg.maxBatch);
     }
-    const serving::ServingReport r = serving::simulateServing(
-        scfg, surface, res, opts.wantsTelemetry() ? &tel : nullptr);
+    ServeTelemetry tel(opts);
+    const serving::ServingReport r =
+        serving::simulateServing(scfg, surface, res, tel.hook());
 
     std::cout << pipeline.name << " on " << opts.serving.numGpus
               << "x " << opts.gpu.name << " (batch-1 latency "
@@ -897,36 +569,12 @@ cmdServe(const Options& opts)
     table.addRow({"lost GPU-seconds",
                   formatFixed(r.lostGpuSeconds, 1)});
     std::cout << table.render();
-
-    if (opts.wantsTelemetry()) {
-        if (!opts.traceOut.empty())
-            mergeExecTimeline(sink, pipeline, opts);
-        writeTelemetryOutputs(opts, registry, sink);
-        if (opts.sampleInterval > 0.0) {
-            telemetry::SeriesExpectations expect;
-            expect.horizonSeconds = opts.serving.horizonSeconds;
-            expect.totalGpus = opts.serving.numGpus;
-            expect.arrived = r.arrived;
-            expect.shed = r.shed;
-            expect.inHorizonCompleted =
-                r.completed - r.drainCompleted;
-            expect.retries = r.retries;
-            const verify::DiagnosticReport check =
-                telemetry::checkSeriesConsistency(registry, expect);
-            if (!check.diagnostics().empty())
-                std::cout << "\n" << check.render();
-            if (check.hasErrors())
-                return 1;
-        }
-    }
-    return 0;
+    return tel.finish(pipeline, r, opts.serving.numGpus);
 }
 
 int
 cmdStats(const Options& opts)
 {
-    MMGEN_CHECK(opts.positional.empty(),
-                "stats takes no positional arguments");
     // Exercise the parallel harness + memo cache with a real
     // workload: the full both-backend suite, run twice so repeated
     // profiles show up as cache hits.
@@ -950,16 +598,8 @@ cmdAnalyze(const Options& opts)
 {
     MMGEN_CHECK(opts.memoryAnalysis,
                 "analyze needs --memory (the only analysis so far)");
-    std::vector<models::ModelId> targets;
-    if (opts.lintAll) {
-        MMGEN_CHECK(opts.positional.empty(),
-                    "--all and --model are mutually exclusive");
-        targets = models::allModels();
-    } else {
-        MMGEN_CHECK(opts.positional.size() == 1,
-                    "analyze needs --model <name> or --all");
-        targets = {parseModel(opts.positional[0])};
-    }
+    const std::vector<models::ModelId> targets =
+        selectModels(opts, "analyze");
 
     bool all_feasible = true;
     json::Writer w(std::cout);
@@ -1053,23 +693,17 @@ cmdLint(const Options& opts)
     lopts.memory = opts.lintMemory;
     lopts.suppressRules = opts.suppressRules;
 
-    std::vector<models::ModelId> targets;
-    if (opts.lintAll) {
-        MMGEN_CHECK(opts.positional.empty(),
-                    "--all and --model are mutually exclusive");
-        targets = models::allModels();
-    } else {
-        MMGEN_CHECK(opts.positional.size() == 1,
-                    "lint needs --model <name> or --all");
-        targets = {parseModel(opts.positional[0])};
-    }
-
-    verify::DiagnosticReport report;
-    for (models::ModelId id : targets) {
-        if (!opts.lintJson)
+    const std::vector<models::ModelId> targets =
+        selectModels(opts, "lint");
+    if (!opts.lintJson) {
+        for (models::ModelId id : targets)
             std::cout << "linting " << models::modelName(id) << "...\n";
-        report.merge(core::lintModel(id, lopts));
     }
+    // `lintAll` lints the zoo on the thread pool (--jobs) and merges
+    // the reports in model order, as a serial loop would.
+    const verify::DiagnosticReport report =
+        opts.lintAll ? core::lintAll(lopts)
+                     : core::lintModel(targets[0], lopts);
     if (opts.lintJson)
         std::cout << report.toJson() << "\n";
     else
@@ -1080,24 +714,387 @@ cmdLint(const Options& opts)
 int
 cmdTrace(const Options& opts)
 {
-    MMGEN_CHECK(opts.positional.size() == 2,
-                "trace needs <model> <out.json>");
-    const models::ModelId id = parseModel(opts.positional[0]);
-    profiler::ProfileOptions popts;
-    popts.gpu = opts.gpu;
-    popts.backend = opts.backend;
-    popts.lowering = opts.lowering;
-    popts.schedule = opts.schedule;
-    popts.keepOpRecords = true;
     const profiler::ProfileResult res =
-        profiler::Profiler(popts).profile(models::buildModel(id));
-    std::ofstream out(opts.positional[1]);
-    MMGEN_CHECK(static_cast<bool>(out),
-                "cannot open " << opts.positional[1]);
+        profiler::Profiler(profileOptions(opts, true))
+            .profile(models::buildModel(parseModel(opts.positional[0])));
+    std::ofstream out = openOutput(opts.positional[1]);
     profiler::writeChromeTrace(out, res);
     std::cout << "wrote " << res.timeline.eventCount()
               << " timeline events to " << opts.positional[1] << "\n";
     return 0;
+}
+
+/** One bit per subcommand; a flag's `commands` is a set of them. */
+enum : unsigned {
+    kList = 1u << 0,
+    kProfile = 1u << 1,
+    kHotspots = 1u << 2,
+    kSuite = 1u << 3,
+    kTaxonomy = 1u << 4,
+    kFootprint = 1u << 5,
+    kTrace = 1u << 6,
+    kServe = 1u << 7,
+    kStats = 1u << 8,
+    kLint = 1u << 9,
+    kAnalyze = 1u << 10,
+};
+
+struct Command
+{
+    unsigned bit;
+    const char* name;
+    /** Positional synopsis; its arity is [minArgs, maxArgs]. */
+    const char* args;
+    std::size_t minArgs;
+    std::size_t maxArgs;
+    const char* help;
+    int (*run)(const Options&);
+};
+
+const Command kCommands[] = {
+    {kList, "list", "", 0, 0, "models and GPU presets", cmdList},
+    {kProfile, "profile", "<model>", 1, 1, "one-model breakdown",
+     cmdProfile},
+    {kHotspots, "hotspots", "<model>", 1, 1,
+     "top operator sites by time", cmdHotspots},
+    {kSuite, "suite", "", 0, 0, "both-backend suite run (Table II)",
+     cmdSuite},
+    {kTaxonomy, "taxonomy", "", 0, 0, "Table I labels", cmdTaxonomy},
+    {kFootprint, "footprint", "", 0, 0, "peak-memory report",
+     cmdFootprint},
+    {kTrace, "trace", "<model> <out.json>", 2, 2,
+     "Chrome trace export", cmdTrace},
+    {kServe, "serve", "<model>", 1, 1, "fault-tolerant serving sim",
+     cmdServe},
+    {kStats, "stats", "", 0, 0,
+     "run the suite twice, print cache / pool counters", cmdStats},
+    {kLint, "lint", "[<model>]", 0, 1, "graph & physics verifier",
+     cmdLint},
+    {kAnalyze, "analyze", "[<model>]", 0, 1,
+     "memory-liveness analysis & admission bound", cmdAnalyze},
+};
+
+struct Value;
+
+struct Flag
+{
+    const char* name;
+    /** Placeholder of the flag's value; null for a switch. */
+    const char* value;
+    const char* help;
+    /** The subcommands whose code reads what `set` writes. */
+    unsigned commands;
+    void (*set)(Options&, const Value&);
+};
+
+/** A flag's argument as typed, parsed on demand by its setter. */
+struct Value
+{
+    const Flag& flag;
+    const std::string& text;
+
+    /** The value as a `T`; all of it must parse, and fit in a `T`. */
+    template <typename T>
+    T
+    as() const
+    {
+        T v{};
+        const char* end = text.data() + text.size();
+        const auto [stop, ec] = std::from_chars(text.data(), end, v);
+        MMGEN_CHECK(!text.empty() && ec == std::errc() && stop == end,
+                    flag.name << " needs a number, got '" << text << "'");
+        return v;
+    }
+
+    /** The choice named `text`; the names are the flag's placeholder. */
+    template <typename T>
+    T
+    choice(std::initializer_list<std::pair<const char*, T>> choices) const
+    {
+        for (const auto& [name, v] : choices) {
+            if (text == name)
+                return v;
+        }
+        MMGEN_CHECK(false, flag.name << " takes " << flag.value
+                                     << ", got '" << text << "'");
+    }
+};
+
+constexpr unsigned kProfiling = kProfile | kHotspots | kTrace;
+
+const Flag kFlags[] = {
+    {"--gpu", "a100|v100|h100", "simulated device (default a100)",
+     kProfiling | kSuite | kTaxonomy | kFootprint | kServe | kStats |
+         kLint | kAnalyze,
+     [](Options& o, const Value& v) {
+         o.gpu = v.choice<hw::GpuSpec>({{"a100", hw::GpuSpec::a100_80gb()},
+                                        {"v100", hw::GpuSpec::v100_32gb()},
+                                        {"h100", hw::GpuSpec::h100_80gb()}});
+     }},
+    {"--backend", "baseline|flash|flash_decode",
+     "attention backend (default flash)", kProfiling | kFootprint | kAnalyze,
+     [](Options& o, const Value& v) {
+         using graph::AttentionBackend;
+         o.backend = v.choice<AttentionBackend>(
+             {{"baseline", AttentionBackend::Baseline},
+              {"flash", AttentionBackend::Flash},
+              {"flash_decode", AttentionBackend::FlashDecode}});
+     }},
+    {"--jobs", "N", "pool size (default MMGEN_JOBS, else all cores)",
+     kProfile | kSuite | kTaxonomy | kStats | kLint,
+     [](Options&, const Value& v) {
+         const int jobs = v.as<int>();
+         MMGEN_CHECK(jobs >= 1, "--jobs must be >= 1, got " << jobs);
+         runtime::ThreadPool::setGlobalJobs(jobs);
+     }},
+    {"--no-disk-cache", nullptr, "skip the disk cache (MMGEN_CACHE_DIR)",
+     kProfile | kSuite | kTaxonomy | kServe | kStats | kLint,
+     [](Options& o, const Value&) { o.diskCache = false; }},
+    {"--trace", "FILE", "also write the timeline as a Chrome trace", kProfile,
+     [](Options& o, const Value& v) { o.traceFile = v.text; }},
+    {"--streams", "N", "hardware streams (default 1; 2 overlaps copies)",
+     kProfiling,
+     [](Options& o, const Value& v) { o.schedule.streams = v.as<int>(); }},
+    {"--launch-depth", "N", "host launch-queue depth (default 0 = sync)",
+     kProfiling,
+     [](Options& o, const Value& v) {
+         o.schedule.launchQueueDepth = v.as<int>();
+     }},
+    {"--graph-launch", nullptr, "amortize repeated launches as a CUDA graph",
+     kProfiling,
+     [](Options& o, const Value&) { o.schedule.graphLaunch = true; }},
+    {"--graph-replay-frac", "F",
+     "overhead share a graph replay pays (default 0)", kProfiling,
+     [](Options& o, const Value& v) {
+         o.schedule.graphReplayOverheadFraction = v.as<double>();
+     }},
+    {"--stream-weights", nullptr,
+     "put memory-bound weight loads on the copy stream", kProfiling,
+     [](Options& o, const Value&) { o.lowering.splitWeightStreams = true; }},
+    {"--metrics-out", "FILE", "JSON-lines metrics dump",
+     kProfile | kServe | kStats,
+     [](Options& o, const Value& v) { o.metricsOut = v.text; }},
+    {"--prom-out", "FILE", "Prometheus text metrics",
+     kProfile | kServe | kStats,
+     [](Options& o, const Value& v) { o.promOut = v.text; }},
+    {"--trace-out", "FILE", "Chrome trace of spans and exec timeline",
+     kProfile | kServe | kStats,
+     [](Options& o, const Value& v) { o.traceOut = v.text; }},
+    {"--sample-interval", "S", "sample serving state every S sim-seconds",
+     kServe,
+     [](Options& o, const Value& v) {
+         o.sampleInterval = v.as<double>();
+         MMGEN_CHECK(o.sampleInterval > 0.0,
+                     "--sample-interval must be > 0, got "
+                         << o.sampleInterval);
+     }},
+    {"--rate", "R", "mean arrival rate, requests/s", kServe,
+     [](Options& o, const Value& v) {
+         o.serving.arrivalRate = v.as<double>();
+     }},
+    {"--gpus", "N", "GPUs in the pool (per replica in a cluster)", kServe,
+     [](Options& o, const Value& v) { o.serving.numGpus = v.as<int>(); }},
+    {"--batch", "B", "largest batch", kServe,
+     [](Options& o, const Value& v) { o.serving.maxBatch = v.as<int>(); }},
+    {"--horizon", "S", "simulated seconds of arrivals", kServe,
+     [](Options& o, const Value& v) {
+         o.serving.horizonSeconds = v.as<double>();
+     }},
+    {"--seed", "S", "arrival and fault seed", kServe,
+     [](Options& o, const Value& v) {
+         o.serving.seed = v.as<std::uint64_t>();
+     }},
+    {"--mix", "poisson|interactive|bursty|diurnal|production",
+     "client workload mix", kServe,
+     [](Options& o, const Value& v) { o.mixName = v.text; }},
+    {"--continuous", nullptr, "continuous batching (priced off the surface)",
+     kServe, [](Options& o, const Value&) { o.continuous = true; }},
+    {"--surface", nullptr, "price batches off the exec-profiled surface",
+     kServe, [](Options& o, const Value&) { o.useSurface = true; }},
+    {"--mtbf", "S", "per-GPU mean time between failures", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.faults.failureMtbfSeconds = v.as<double>();
+     }},
+    {"--mttr", "S", "per-GPU mean time to repair", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.faults.failureMttrSeconds = v.as<double>();
+     }},
+    {"--preempt-mtbf", "S", "mean time between preemptions", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.faults.preemptionMtbfSeconds = v.as<double>();
+     }},
+    {"--preempt-mean", "S", "mean preemption length", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.faults.preemptionMeanSeconds = v.as<double>();
+     }},
+    {"--straggler-frac", "F", "fraction of straggling GPUs", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.faults.stragglerFraction = v.as<double>();
+     }},
+    {"--straggler-slowdown", "X", "straggler service slowdown", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.faults.stragglerSlowdown = v.as<double>();
+     }},
+    {"--deadline", "S", "request SLO", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.deadline.deadlineSeconds = v.as<double>();
+     }},
+    {"--timeout", "S", "batch abort timeout", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.deadline.batchTimeoutSeconds = v.as<double>();
+     }},
+    {"--retries", "N", "retry budget per request", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.retry.maxRetries = v.as<int>();
+     }},
+    {"--max-queue", "N", "admission queue limit", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.admission.maxQueueLength = v.as<std::int64_t>();
+     }},
+    {"--degrade-threshold", "N", "queue depth to degrade at", kServe,
+     [](Options& o, const Value& v) {
+         o.degradeThreshold = v.as<std::int64_t>();
+     }},
+    {"--degrade-steps", "F", "fraction of denoise steps kept when degraded",
+     kServe,
+     [](Options& o, const Value& v) { o.degradeStepsKept = v.as<double>(); }},
+    {"--replicas", "N", "replica pools behind a router (cluster sim)", kServe,
+     [](Options& o, const Value& v) { o.replicas = v.as<int>(); }},
+    {"--router", "round-robin|least-loaded|domain-aware",
+     "cluster routing policy", kServe,
+     [](Options& o, const Value& v) {
+         using serving::RouterPolicy;
+         o.router = v.choice<RouterPolicy>(
+             {{"round-robin", RouterPolicy::RoundRobin},
+              {"least-loaded", RouterPolicy::LeastLoaded},
+              {"domain-aware", RouterPolicy::FailureDomainAware}});
+     }},
+    {"--chaos",
+     "none|kill-replica|kill-replica-at-zero|rolling-kill|"
+     "degrade-domain|straggle-gpu",
+     "cluster chaos scenario", kServe,
+     [](Options& o, const Value& v) { o.chaosName = v.text; }},
+    {"--hedge-delay", "S", "hedge a request after S seconds", kServe,
+     [](Options& o, const Value& v) { o.hedgeDelay = v.as<double>(); }},
+    {"--hedge-quantile", "Q", "hedge after the Q-quantile batch service time",
+     kServe,
+     [](Options& o, const Value& v) { o.hedgeQuantile = v.as<double>(); }},
+    {"--breaker-threshold", "N", "failures that open a replica breaker",
+     kServe,
+     [](Options& o, const Value& v) {
+         o.breaker.failureThreshold = v.as<int>();
+     }},
+    {"--breaker-open", "S", "open duration before a probe", kServe,
+     [](Options& o, const Value& v) {
+         o.breaker.openSeconds = v.as<double>();
+     }},
+    {"--ckpt-interval", "N", "checkpoint every N dominant-stage iterations",
+     kServe,
+     [](Options& o, const Value& v) {
+         o.ckptInterval = v.as<std::int64_t>();
+     }},
+    {"--ckpt-cost", "S", "GPU-seconds per checkpoint", kServe,
+     [](Options& o, const Value& v) { o.ckptCost = v.as<double>(); }},
+    {"--probe-interval", "S", "health-probe period", kServe,
+     [](Options& o, const Value& v) {
+         o.probe.intervalSeconds = v.as<double>();
+     }},
+    {"--domain-size", "N", "replicas per failure domain (default 1)", kServe,
+     [](Options& o, const Value& v) { o.domainSize = v.as<int>(); }},
+    {"--domain-mtbf", "S", "mean time between rack outages", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.faults.domainMtbfSeconds = v.as<double>();
+     }},
+    {"--domain-mttr", "S", "mean rack outage length", kServe,
+     [](Options& o, const Value& v) {
+         o.resilience.faults.domainMttrSeconds = v.as<double>();
+     }},
+    {"--model", "X", "one model (instead of the whole zoo)", kLint | kAnalyze,
+     [](Options& o, const Value& v) { o.positional.push_back(v.text); }},
+    {"--all", nullptr, "every model of the zoo", kLint | kAnalyze,
+     [](Options& o, const Value&) { o.lintAll = true; }},
+    {"--json", nullptr, "machine-readable output", kLint | kAnalyze,
+     [](Options& o, const Value&) { o.lintJson = true; }},
+    {"--rules", nullptr, "list the rule registry", kLint,
+     [](Options& o, const Value&) { o.lintRules = true; }},
+    {"--no-physics", nullptr, "skip the physics rules", kLint,
+     [](Options& o, const Value&) { o.lintPhysics = false; }},
+    {"--no-probes", nullptr, "skip the scaling probes", kLint,
+     [](Options& o, const Value&) { o.lintProbes = false; }},
+    {"--no-memory", nullptr, "skip the memory-liveness pass (S013/P010/P011)",
+     kLint, [](Options& o, const Value&) { o.lintMemory = false; }},
+    {"--suppress", "RULE", "drop one rule's findings (repeatable)", kLint,
+     [](Options& o, const Value& v) { o.suppressRules.push_back(v.text); }},
+    {"--memory", nullptr, "peak residency, reuse bounds, max batch", kAnalyze,
+     [](Options& o, const Value&) { o.memoryAnalysis = true; }},
+};
+
+const Flag*
+findFlag(const std::string& name)
+{
+    for (const Flag& f : kFlags) {
+        if (name == f.name)
+            return &f;
+    }
+    return nullptr;
+}
+
+/** Print both tables; each flag once, under the commands it serves. */
+int
+usage()
+{
+    auto entry = [](const std::string& lhs, const char* help) {
+        std::cerr << "  " << padRight(lhs, 28)
+                  << (lhs.size() < 28 ? "" : "\n" + std::string(30, ' '))
+                  << help << "\n";
+    };
+    std::cerr << "usage: mmgen <command> [args] [options]\n\ncommands:\n";
+    for (const Command& c : kCommands)
+        entry(std::string(c.name) + " " + c.args, c.help);
+    unsigned group = 0;
+    for (const Flag& f : kFlags) {
+        if (f.commands != group) {
+            group = f.commands;
+            std::cerr << "\noptions of";
+            for (const Command& c : kCommands) {
+                if (group & c.bit)
+                    std::cerr << " " << c.name;
+            }
+            std::cerr << ":\n";
+        }
+        entry(f.value ? std::string(f.name) + " " + f.value : f.name,
+              f.help);
+    }
+    return 2;
+}
+
+Options
+parseOptions(const Command& cmd, int argc, char** argv)
+{
+    Options opts;
+    for (int i = 2; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.empty() || arg[0] != '-') {
+            opts.positional.push_back(arg);
+            continue;
+        }
+        const Flag* flag = findFlag(arg);
+        MMGEN_CHECK(flag != nullptr, "unknown option " << arg);
+        MMGEN_CHECK(flag->commands & cmd.bit,
+                    cmd.name << " does not take " << arg
+                             << " (`mmgen` lists each command's flags)");
+        std::string value;
+        if (flag->value != nullptr) {
+            MMGEN_CHECK(i + 1 < argc, arg << " needs a value");
+            value = argv[++i];
+        }
+        flag->set(opts, Value{*flag, value});
+    }
+    MMGEN_CHECK(opts.positional.size() >= cmd.minArgs &&
+                    opts.positional.size() <= cmd.maxArgs,
+                cmd.name << " takes "
+                         << (*cmd.args ? cmd.args : "no arguments"));
+    return opts;
 }
 
 } // namespace
@@ -1105,41 +1102,28 @@ cmdTrace(const Options& opts)
 int
 main(int argc, char** argv)
 {
-    if (argc < 2)
+    const Command* cmd = nullptr;
+    for (const Command& c : kCommands) {
+        if (argc >= 2 && std::string(argv[1]) == c.name)
+            cmd = &c;
+    }
+    if (cmd == nullptr) {
+        if (argc >= 2)
+            std::cerr << "unknown command '" << argv[1] << "'\n";
         return usage();
-    const std::string cmd = argv[1];
+    }
     try {
-        const Options opts = parseOptions(argc, argv, 2);
-        if (opts.diskCache) {
+        const Options opts = parseOptions(*cmd, argc, argv);
+        // Only the commands that read the profile cache open its disk
+        // tier (which creates the cache directory).
+        if (opts.diskCache &&
+            (findFlag("--no-disk-cache")->commands & cmd->bit)) {
             auto disk = std::make_shared<runtime::DiskProfileCache>();
             if (disk->enabled())
                 runtime::ProfileCache::global().attachDiskCache(
                     std::move(disk));
         }
-        if (cmd == "list")
-            return cmdList();
-        if (cmd == "profile")
-            return cmdProfile(opts);
-        if (cmd == "hotspots")
-            return cmdHotspots(opts);
-        if (cmd == "suite")
-            return cmdSuite(opts);
-        if (cmd == "taxonomy")
-            return cmdTaxonomy(opts);
-        if (cmd == "footprint")
-            return cmdFootprint(opts);
-        if (cmd == "trace")
-            return cmdTrace(opts);
-        if (cmd == "serve")
-            return cmdServe(opts);
-        if (cmd == "stats")
-            return cmdStats(opts);
-        if (cmd == "lint")
-            return cmdLint(opts);
-        if (cmd == "analyze")
-            return cmdAnalyze(opts);
-        std::cerr << "unknown command '" << cmd << "'\n";
-        return usage();
+        return cmd->run(opts);
     } catch (const mmgen::FatalError& e) {
         std::cerr << "error: " << e.what() << "\n";
         return 1;
