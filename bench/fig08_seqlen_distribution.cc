@@ -12,8 +12,8 @@
 #include <iostream>
 #include <map>
 
-#include "core/suite.hh"
 #include "models/stable_diffusion.hh"
+#include "runtime/profile_cache.hh"
 #include "util/format.hh"
 #include "util/table.hh"
 
@@ -27,21 +27,25 @@ main()
 
     const std::vector<std::int64_t> image_sizes = {64, 128, 256, 512};
 
-    profiler::ProfileOptions opts;
-    opts.keepOpRecords = true;
-    const profiler::Profiler prof(opts);
+    const profiler::ProfileOptions opts;
+    const exec::TimelineScheduler scheduler(opts.gpu, opts.schedule);
 
     for (std::int64_t size : image_sizes) {
         models::StableDiffusionConfig cfg;
         cfg.imageSize = size;
+        const graph::Pipeline pipeline = models::buildStableDiffusion(cfg);
         const profiler::ProfileResult res =
-            prof.profile(models::buildStableDiffusion(cfg));
+            *runtime::cachedProfile(pipeline, opts);
+        const auto plan = runtime::cachedPlan(pipeline, opts);
+        const exec::Timeline timeline = scheduler.schedule(*plan);
 
         // Attention time per bucket: the "tailor hardware towards
         // sequence lengths of interest" angle the paper raises.
         std::map<std::int64_t, double> seconds_by_len;
         double attn_seconds = 0.0;
-        for (const auto& rec : res.records) {
+        for (std::size_t oi = 0; oi < plan->ops.size(); ++oi) {
+            const profiler::OpRecord rec =
+                profiler::opRecord(*plan, timeline, oi);
             if (rec.kind != graph::OpKind::Attention ||
                 rec.attnKind == graph::AttentionKind::CrossText) {
                 continue;

@@ -2,8 +2,8 @@
  * @file
  * Export a simulated inference timeline as a Chrome/Perfetto trace.
  *
- * Profiles Stable Diffusion with per-op records and writes
- * sd_trace.json, viewable at chrome://tracing or ui.perfetto.dev —
+ * Profiles Stable Diffusion, schedules the plan the profile priced,
+ * and writes its per-kernel timeline to sd_trace.json, viewable at chrome://tracing or ui.perfetto.dev —
  * the same workflow the paper uses with PyTorch Profiler on real
  * hardware (Section III, "Tools").
  */
@@ -13,7 +13,7 @@
 
 #include "models/stable_diffusion.hh"
 #include "profiler/chrome_trace.hh"
-#include "profiler/engine.hh"
+#include "runtime/profile_cache.hh"
 #include "util/format.hh"
 
 int
@@ -25,18 +25,22 @@ main(int argc, char** argv)
 
     profiler::ProfileOptions opts;
     opts.backend = graph::AttentionBackend::Flash;
-    opts.keepOpRecords = true;
-    profiler::Profiler prof(opts);
+    const graph::Pipeline pipeline = models::buildStableDiffusion();
     const profiler::ProfileResult res =
-        prof.profile(models::buildStableDiffusion());
+        *runtime::cachedProfile(pipeline, opts);
+    // The aggregates come from the profile; the per-kernel timeline
+    // from the plan it priced, scheduled again.
+    const auto plan = runtime::cachedPlan(pipeline, opts);
+    const exec::Timeline timeline =
+        exec::TimelineScheduler(opts.gpu, opts.schedule).schedule(*plan);
 
     std::ofstream out(path);
     if (!out) {
         std::cerr << "cannot open " << path << " for writing\n";
         return 1;
     }
-    profiler::writeChromeTrace(out, res);
-    std::cout << "Wrote " << res.records.size()
+    profiler::writeChromeTrace(out, *plan, timeline);
+    std::cout << "Wrote " << plan->ops.size()
               << " operator records covering "
               << formatTime(res.totalSeconds)
               << " of simulated inference to " << path << "\n";

@@ -6,7 +6,6 @@
 
 #include "hw/roofline.hh"
 #include "util/format.hh"
-#include "util/logging.hh"
 
 namespace mmgen::core {
 
@@ -97,26 +96,27 @@ rooflineTable(const std::vector<ModelRunResult>& results,
 }
 
 TextTable
-hotspotTable(const profiler::ProfileResult& result, std::size_t top_k)
+hotspotTable(const exec::ExecutionPlan& plan,
+             const exec::Timeline& timeline, std::size_t top_k)
 {
-    MMGEN_CHECK(!result.records.empty(),
-                "hotspots need per-op records; re-profile with "
-                "ProfileOptions::keepOpRecords = true");
     struct Agg
     {
         double seconds = 0.0;
         double flops = 0.0;
         std::int64_t calls = 0;
     };
-    std::map<std::pair<std::string, graph::OpKind>, Agg> by_site;
-    for (const auto& rec : result.records) {
+    using Site = std::pair<std::string_view, graph::OpKind>;
+    std::map<Site, Agg> by_site;
+    for (std::size_t oi = 0; oi < plan.ops.size(); ++oi) {
+        const profiler::OpRecord rec =
+            profiler::opRecord(plan, timeline, oi);
         Agg& a = by_site[{rec.scope, rec.kind}];
         a.seconds += rec.seconds;
         a.flops += rec.flops;
         a.calls += rec.repeat;
     }
-    std::vector<std::pair<std::pair<std::string, graph::OpKind>, Agg>>
-        sites(by_site.begin(), by_site.end());
+    std::vector<std::pair<Site, Agg>> sites(by_site.begin(),
+                                            by_site.end());
     std::sort(sites.begin(), sites.end(),
               [](const auto& a, const auto& b) {
                   return a.second.seconds > b.second.seconds;
@@ -127,9 +127,10 @@ hotspotTable(const profiler::ProfileResult& result, std::size_t top_k)
     const std::size_t n = std::min(top_k, sites.size());
     for (std::size_t i = 0; i < n; ++i) {
         const auto& [key, agg] = sites[i];
-        table.addRow({key.first, graph::opKindName(key.second),
+        table.addRow({std::string(key.first),
+                      graph::opKindName(key.second),
                       formatTime(agg.seconds),
-                      formatPercent(agg.seconds / result.totalSeconds),
+                      formatPercent(agg.seconds / timeline.makespan),
                       std::to_string(agg.calls),
                       formatFlops(agg.flops)});
     }

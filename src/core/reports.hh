@@ -36,11 +36,12 @@ TextTable rooflineTable(const std::vector<ModelRunResult>& results,
 std::string profileSummary(const profiler::ProfileResult& result);
 
 /**
- * Top-k hotspots of a profiled run: operator instances grouped by
- * (scope, kind), ranked by total simulated time. Requires a result
- * produced with ProfileOptions::keepOpRecords.
+ * Top-k hotspots of a scheduled plan: operator instances grouped by
+ * (scope, kind), ranked by total simulated time, with their share of
+ * the makespan. `timeline` must have been scheduled from `plan`.
  */
-TextTable hotspotTable(const profiler::ProfileResult& result,
+TextTable hotspotTable(const exec::ExecutionPlan& plan,
+                       const exec::Timeline& timeline,
                        std::size_t top_k = 10);
 
 } // namespace mmgen::core

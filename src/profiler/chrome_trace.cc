@@ -114,14 +114,4 @@ writeChromeTrace(std::ostream& out, const exec::ExecutionPlan& plan,
     out << "\n]}\n";
 }
 
-void
-writeChromeTrace(std::ostream& out, const ProfileResult& result,
-                 const ChromeTraceOptions& options)
-{
-    MMGEN_CHECK(result.plan != nullptr,
-                "profile kept no execution plan; re-run with "
-                "ProfileOptions::keepOpRecords = true");
-    writeChromeTrace(out, *result.plan, result.timeline, options);
-}
-
 } // namespace mmgen::profiler

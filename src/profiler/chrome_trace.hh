@@ -2,7 +2,9 @@
  * @file
  * Chrome-trace (chrome://tracing, Perfetto) export of a profiled run.
  *
- * Serializes a scheduled timeline as a Trace Event Format JSON
+ * Serializes a lowered plan and its scheduled timeline — the per-kernel
+ * detail a ProfileResult does not keep; callers schedule the plan the
+ * profile priced (`runtime::cachedPlan`) — as a Trace Event Format JSON
  * document: one complete ("X") event per kernel occurrence, with real
  * scheduler timestamps, pipeline stages as process-level lanes and
  * hardware streams as thread lanes, so a simulated inference timeline
@@ -20,7 +22,6 @@
 
 #include "exec/plan.hh"
 #include "exec/schedule.hh"
-#include "profiler/engine.hh"
 
 namespace mmgen::profiler {
 
@@ -45,17 +46,6 @@ struct ChromeTraceOptions
 void writeChromeTrace(std::ostream& out,
                       const exec::ExecutionPlan& plan,
                       const exec::Timeline& timeline,
-                      const ChromeTraceOptions& options =
-                          ChromeTraceOptions());
-
-/**
- * Write a ProfileResult's timeline as Trace Event Format JSON.
- *
- * The result must have been produced with
- * ProfileOptions::keepOpRecords = true (which retains the plan and
- * timeline); throws FatalError otherwise.
- */
-void writeChromeTrace(std::ostream& out, const ProfileResult& result,
                       const ChromeTraceOptions& options =
                           ChromeTraceOptions());
 

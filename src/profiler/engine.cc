@@ -1,7 +1,5 @@
 #include "engine.hh"
 
-#include <algorithm>
-
 #include "util/logging.hh"
 #include "verify/memory.hh"
 #include "verify/timeline.hh"
@@ -52,7 +50,7 @@ Profiler::profileWithPlan(
         verify::verifyPipelineOrThrow(pipeline);
 
     const exec::TimelineScheduler scheduler(opts.gpu, opts.schedule);
-    exec::Timeline timeline = scheduler.schedule(*plan);
+    const exec::Timeline timeline = scheduler.schedule(*plan);
 
     ProfileResult result;
     result.model = pipeline.name;
@@ -65,60 +63,25 @@ Profiler::profileWithPlan(
     std::vector<double> stage_seconds(num_stages, 0.0);
     std::vector<BreakdownReport> stage_breakdowns(num_stages);
 
-    const auto record_cap =
-        static_cast<std::size_t>(std::max<std::int64_t>(
-            opts.maxOpRecords, 0));
-    if (opts.keepOpRecords)
-        result.records.reserve(
-            std::min(plan->ops.size(), record_cap));
+    // Kernel-class seconds sum node by node in program order: nodes
+    // are grouped per op, ops in execution order.
+    for (std::size_t n = 0; n < plan->nodes.size(); ++n)
+        result.kernelClassSeconds[plan->kernel(n).klass] +=
+            timeline.nodeSeconds[n];
 
     for (std::size_t oi = 0; oi < plan->ops.size(); ++oi) {
-        const exec::PlanOp& row = plan->ops[oi];
-        const exec::OpInfo& op = plan->opInfo(row);
-        const double r = static_cast<double>(op.repeat);
+        const OpRecord rec = opRecord(*plan, timeline, oi);
+        const exec::OpInfo& op = plan->opInfo(oi);
 
-        double flops = 0.0;
-        double bytes = 0.0;
-        std::int64_t launches = 0;
-        for (std::size_t n = row.firstNode;
-             n < row.firstNode + op.nodeCount; ++n) {
-            const exec::KernelInfo& kernel = plan->kernel(n);
-            flops += kernel.flops;
-            bytes += kernel.hbmBytes;
-            launches += kernel.launches;
-            result.kernelClassSeconds[kernel.klass] +=
-                timeline.nodeSeconds[n];
-        }
-
-        // Only kept records carry their scope/stage strings; the
-        // aggregates below read kind, category and the numbers.
-        const bool keep =
-            opts.keepOpRecords && result.records.size() < record_cap;
-        OpRecord rec;
-        rec.kind = op.kind;
-        rec.category = op.category;
-        if (keep) {
-            rec.scope = std::string(plan->str(op.scope));
-            rec.stage = plan->stageNames[op.stageIndex];
-        }
-        rec.seconds = timeline.opSeconds[oi];
-        rec.flops = flops * r;
-        rec.hbmBytes = bytes * r;
-        rec.launches = launches * op.repeat;
-        rec.repeat = op.repeat;
-
-        if (op.kind == graph::OpKind::Attention) {
-            rec.seqLen = op.seqQ;
-            rec.seqKv = op.seqKv;
-            rec.attnKind = op.attnKind;
-            result.attention.add(op.attnKind, rec.seconds, rec.flops,
-                                 op.repeat);
+        if (rec.kind == graph::OpKind::Attention) {
+            result.attention.add(rec.attnKind, rec.seconds, rec.flops,
+                                 rec.repeat);
             // The Fig. 7/8 sequence-length series tracks the attended
             // length of self-attention calls; cross-attention always
             // attends the fixed encoded prompt.
-            if (op.attnKind != graph::AttentionKind::CrossText) {
+            if (rec.attnKind != graph::AttentionKind::CrossText) {
                 result.seqLens.record(
-                    op.seqKv, static_cast<std::uint64_t>(op.repeat));
+                    rec.seqKv, static_cast<std::uint64_t>(rec.repeat));
             }
         }
 
@@ -130,12 +93,8 @@ Profiler::profileWithPlan(
         result.totalLaunches += rec.launches;
         result.weightBytesRead +=
             static_cast<double>(op.paramCount) *
-            static_cast<double>(dtypeBytes(op.dtype)) * r;
-
-        if (keep)
-            result.records.push_back(std::move(rec));
-        else if (opts.keepOpRecords)
-            result.recordsTruncated = true;
+            static_cast<double>(dtypeBytes(op.dtype)) *
+            static_cast<double>(op.repeat);
     }
 
     for (std::size_t si = 0; si < num_stages; ++si) {
@@ -175,11 +134,6 @@ Profiler::profileWithPlan(
                 opts.gpu, physics);
         }
         verify::throwOnErrors(physics);
-    }
-
-    if (opts.keepOpRecords) {
-        result.plan = std::move(plan);
-        result.timeline = std::move(timeline);
     }
     return result;
 }

@@ -52,26 +52,13 @@ struct ProfileOptions
 
     /** How plans schedule onto the GPU (streams, queue, graphs). */
     exec::ScheduleOptions schedule;
-
-    /**
-     * Keep one OpRecord per traced op, plus the lowered plan and
-     * scheduled timeline. Costs memory on models with hundreds of
-     * thousands of decode-step ops; aggregate reports are always
-     * produced regardless.
-     */
-    bool keepOpRecords = false;
-
-    /**
-     * Upper bound on retained OpRecords. Sweeps that profile
-     * autoregressive models with records enabled used to grow
-     * `ProfileResult::records` without bound; past this cap further
-     * records are dropped and `ProfileResult::recordsTruncated` is
-     * set. Aggregate metrics are never affected.
-     */
-    std::int64_t maxOpRecords = 1'000'000;
 };
 
-/** Everything one profiling run produces. */
+/**
+ * The aggregates of one profiling run. Per-op and per-kernel detail is
+ * not kept here: it lives in the lowered plan and its timeline, read
+ * through `opRecord` (record.hh) and the Chrome-trace exporter.
+ */
 struct ProfileResult
 {
     std::string model;
@@ -106,20 +93,6 @@ struct ProfileResult
     /** Per-stage operator-category breakdowns, in stage order. */
     std::vector<std::pair<std::string, BreakdownReport>>
         stageBreakdowns;
-
-    /** Per-op records (only when ProfileOptions::keepOpRecords). */
-    std::vector<OpRecord> records;
-
-    /** True when `records` hit ProfileOptions::maxOpRecords. */
-    bool recordsTruncated = false;
-
-    /**
-     * The lowered plan and its scheduled timeline (only when
-     * ProfileOptions::keepOpRecords — they are per-kernel-sized).
-     * Chrome-trace export reads these.
-     */
-    std::shared_ptr<const exec::ExecutionPlan> plan;
-    exec::Timeline timeline;
 
     /** Seconds spent in the Attention category. */
     double attentionSeconds() const;

@@ -6,6 +6,43 @@
 
 namespace mmgen::profiler {
 
+OpRecord
+opRecord(const exec::ExecutionPlan& plan, const exec::Timeline& timeline,
+         std::size_t oi)
+{
+    const exec::PlanOp& row = plan.ops[oi];
+    const exec::OpInfo& op = plan.opInfo(row);
+
+    double flops = 0.0;
+    double bytes = 0.0;
+    std::int64_t launches = 0;
+    for (std::size_t n = row.firstNode; n < row.firstNode + op.nodeCount;
+         ++n) {
+        const exec::KernelInfo& kernel = plan.kernel(n);
+        flops += kernel.flops;
+        bytes += kernel.hbmBytes;
+        launches += kernel.launches;
+    }
+
+    const double r = static_cast<double>(op.repeat);
+    OpRecord rec;
+    rec.kind = op.kind;
+    rec.category = op.category;
+    rec.scope = plan.str(op.scope);
+    rec.stage = plan.stageNames[op.stageIndex];
+    rec.seconds = timeline.opSeconds[oi];
+    rec.flops = flops * r;
+    rec.hbmBytes = bytes * r;
+    rec.launches = launches * op.repeat;
+    rec.repeat = op.repeat;
+    if (op.kind == graph::OpKind::Attention) {
+        rec.seqLen = op.seqQ;
+        rec.seqKv = op.seqKv;
+        rec.attnKind = op.attnKind;
+    }
+    return rec;
+}
+
 void
 BreakdownReport::add(const OpRecord& record)
 {

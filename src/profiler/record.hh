@@ -14,21 +14,26 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <string>
+#include <string_view>
 #include <vector>
 
+#include "exec/plan.hh"
+#include "exec/schedule.hh"
 #include "graph/op.hh"
 #include "util/stats.hh"
 
 namespace mmgen::profiler {
 
-/** One profiled operator instance (aggregated over its repeats). */
+/**
+ * One profiled operator instance (aggregated over its repeats). The
+ * scope and stage view into the plan the record was built from.
+ */
 struct OpRecord
 {
     graph::OpKind kind = graph::OpKind::Elementwise;
     graph::OpCategory category = graph::OpCategory::Elementwise;
-    std::string scope;
-    std::string stage;
+    std::string_view scope;
+    std::string_view stage;
     /** Total simulated time including repeats, seconds. */
     double seconds = 0.0;
     double flops = 0.0;
@@ -42,6 +47,14 @@ struct OpRecord
     /** Attention flavour (attention ops only). */
     graph::AttentionKind attnKind = graph::AttentionKind::SelfSpatial;
 };
+
+/**
+ * The record of op `oi` of `plan`, timed by `timeline` (which must
+ * have been scheduled from `plan`): the per-op detail the profiler
+ * aggregates, read back on demand instead of stored in its result.
+ */
+OpRecord opRecord(const exec::ExecutionPlan& plan,
+                  const exec::Timeline& timeline, std::size_t oi);
 
 /** Execution-time totals per operator category (paper Fig. 6). */
 class BreakdownReport

@@ -8,7 +8,9 @@
  * Stable Diffusion once per sweep point. A profile is a pure function
  * of (pipeline structure, GpuSpec, backend, EfficiencyParams,
  * lowering + schedule knobs), so the cache keys on a structural hash
- * of exactly those inputs and memoizes the full `ProfileResult`.
+ * of exactly those inputs and memoizes the full `ProfileResult`,
+ * which holds aggregates only: every profile request, the trace and
+ * hotspot exporters' included, goes through it.
  *
  * The key factors into two independent halves:
  *
@@ -164,10 +166,9 @@ SingleFlightStats planCacheStats();
 /**
  * Profile through the global cache: O(1) for a repeated
  * (pipeline, options) setup, plan-cached when only the schedule
- * changed. Requests with `keepOpRecords` set bypass the result cache
- * entirely (per-op records are too large to memoize and the exporters
- * that need them never profile repeatedly) but still reuse cached
- * plans.
+ * changed. The result holds aggregates only; readers of per-op or
+ * per-kernel detail take the same plan from `cachedPlan` (a hit after
+ * a cold profile) and schedule it.
  */
 std::shared_ptr<const profiler::ProfileResult>
 cachedProfile(const graph::Pipeline& pipeline,

@@ -2,13 +2,13 @@
  * @file
  * Binary serialization of ProfileResult for the on-disk profile cache.
  *
- * Serializes every aggregate field of a ProfileResult — totals,
- * breakdowns, attention statistics, sequence-length trace, per-stage
- * reports — but not the per-op records, plan, or timeline (runs with
- * keepOpRecords bypass caching entirely, so those fields are always
- * empty here). Doubles round-trip bit-exactly via their raw bit
- * patterns: a warm disk-cache load reproduces the cold run's report
- * bytes, which is the tier's correctness contract.
+ * Serializes every field of a ProfileResult — totals, breakdowns,
+ * attention statistics, sequence-length trace, per-stage reports. A
+ * result holds aggregates only; per-op detail is read from the plan
+ * (`runtime::cachedPlan`), which is not persisted. Doubles round-trip
+ * bit-exactly via their raw bit patterns: a warm disk-cache load
+ * reproduces the cold run's report bytes, which is the tier's
+ * correctness contract.
  *
  * The format is host-endian and only ever read back on the machine
  * that wrote it; DiskProfileCache's versioned, checksummed envelope

@@ -36,8 +36,6 @@ publishPoolMetrics(telemetry::MetricsRegistry& registry,
 {
     registry.counter("runtime.pool.tasks_executed")
         .add(stats.tasksExecuted);
-    registry.counter("runtime.pool.tasks_stolen")
-        .add(stats.tasksStolen);
     registry.counter("runtime.pool.loops_run").add(stats.loopsRun);
     registry.counter("runtime.pool.indices_executed")
         .add(stats.indicesExecuted);
@@ -79,8 +77,6 @@ runtimeStatsTable()
     table.addRow({"pool threads", std::to_string(pool.threads())});
     table.addRow({"pool tasks executed",
                   std::to_string(ps.tasksExecuted)});
-    table.addRow({"pool tasks stolen",
-                  std::to_string(ps.tasksStolen)});
     table.addRow({"pool parallel loops",
                   std::to_string(ps.loopsRun)});
     table.addRow({"pool indices executed",

@@ -42,8 +42,10 @@ void publishPlanCacheMetrics(telemetry::MetricsRegistry& registry,
 
 /**
  * Record pool scheduling counters into `registry`:
- * `runtime.pool.{tasks_executed,tasks_stolen,loops_run,
- * indices_executed}` counters plus the `runtime.pool.threads` gauge.
+ * `runtime.pool.{tasks_executed,loops_run,indices_executed}` counters
+ * plus the `runtime.pool.threads` gauge. The timing-dependent
+ * `PoolStats::tasksStolen` is left out, so the export is
+ * deterministic.
  */
 void publishPoolMetrics(telemetry::MetricsRegistry& registry,
                         const PoolStats& stats, int threads);

@@ -94,10 +94,12 @@ void
 ThreadPool::submit(Task task)
 {
     MMGEN_CHECK(static_cast<bool>(task), "cannot submit empty task");
+    // Counted on submission: every submitted task runs exactly once,
+    // and a forEach helper may still be queued when its loop returns.
+    statTasksExecuted.fetch_add(1, std::memory_order_relaxed);
     if (workers.empty()) {
         // Inline pool: run immediately on the caller.
         task();
-        statTasksExecuted.fetch_add(1, std::memory_order_relaxed);
         return;
     }
     {
@@ -152,8 +154,6 @@ ThreadPool::workerLoop(std::size_t self)
                 --pending;
             }
             task();
-            statTasksExecuted.fetch_add(1,
-                                        std::memory_order_relaxed);
             continue;
         }
         std::unique_lock<std::mutex> lock(sleepMu);

@@ -43,13 +43,19 @@ namespace mmgen::runtime {
 /**
  * Scheduling counters accumulated over a pool's lifetime. Totals for
  * work done (`tasksExecuted`, `indicesExecuted`, `loopsRun`) are
- * schedule-independent; `tasksStolen` depends on thread timing and is
- * reported for observability only — never fold it into a
- * deterministic artifact.
+ * schedule-independent: each is counted when the work is handed to
+ * the pool, so a read right after `forEach` returns is exact even
+ * while one of its helper tasks is still queued. `tasksStolen`
+ * depends on thread timing and is kept for debugging only — never
+ * fold it into a deterministic artifact (the `mmgen stats` table and
+ * the runtime metrics export leave it out).
  */
 struct PoolStats
 {
-    /** Tasks run to completion (submit + forEach helpers). */
+    /**
+     * Tasks submitted (plain submits + forEach helpers), counted on
+     * submission; each runs exactly once.
+     */
     std::int64_t tasksExecuted = 0;
     /** Tasks claimed from another lane's deque. */
     std::int64_t tasksStolen = 0;

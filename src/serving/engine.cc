@@ -296,11 +296,8 @@ runEngine(const ClusterConfig& cfg, const PoolRun* pool,
     // stream, while faults, chaos, and probe jitter draw from split
     // streams, so no resilience feature can perturb the arrival
     // sequence.
-    workload::ArrivalGenerator arrivals =
-        cfg.workload.enabled()
-            ? workload::ArrivalGenerator(cfg.seed, cfg.arrivalRate,
-                                         cfg.workload)
-            : workload::ArrivalGenerator(cfg.seed, cfg.arrivalRate);
+    workload::ArrivalGenerator arrivals(cfg.seed, cfg.arrivalRate,
+                                        cfg.workload);
     FleetFaultPlan plan =
         clusterView ? planFaults(cfg.resilience.faults, domainOf,
                                  horizon, cfg.seed)

@@ -266,18 +266,14 @@ PoissonArrivalStream::next()
     return time_;
 }
 
-ArrivalGenerator::ArrivalGenerator(std::uint64_t seed, double rate)
-    : legacy_(true), legacyStream_(seed, rate)
-{}
-
 ArrivalGenerator::ArrivalGenerator(std::uint64_t seed, double rate,
                                    const WorkloadConfig& mix)
-    : legacy_(mix.isPlainPoisson()), legacyStream_(seed, rate)
+    : legacy_(!mix.enabled() || mix.isPlainPoisson()),
+      // Checks the rate on every path.
+      legacyStream_(seed, rate)
 {
-    mix.validate();
-    MMGEN_CHECK(std::isfinite(rate) && rate > 0.0,
-                "arrival rate must be positive and finite, got "
-                    << rate);
+    if (mix.enabled())
+        mix.validate();
     if (legacy_)
         return;
     for (std::size_t i = 0; i < mix.classes.size(); ++i) {

@@ -218,19 +218,18 @@ class PoissonArrivalStream
 
 /**
  * Merges a mix's per-class arrival processes into one deterministic
- * time-ordered stream. Plain-Poisson construction (or a degenerate
- * mix) reproduces `PoissonArrivalStream` byte-for-byte; every other
- * class draws from its own split streams.
+ * time-ordered stream. An empty or degenerate mix reproduces
+ * `PoissonArrivalStream` byte-for-byte; every other class draws from
+ * its own split streams.
  */
 class ArrivalGenerator
 {
   public:
-    /** Legacy plain Poisson at `rate` on the unsplit seed stream. */
-    ArrivalGenerator(std::uint64_t seed, double rate);
-
     /**
-     * Workload mix at total rate `rate` (validated; per-class rate is
-     * `rate * weight`). A degenerate mix takes the legacy path.
+     * Workload mix at total rate `rate` (positive and finite; a
+     * configured mix is validated, and its per-class rate is
+     * `rate * weight`). An empty or degenerate mix takes the legacy
+     * plain Poisson path on the unsplit seed stream.
      */
     ArrivalGenerator(std::uint64_t seed, double rate,
                      const WorkloadConfig& mix);

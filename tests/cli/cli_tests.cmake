@@ -2,8 +2,8 @@
 # tools/CMakeLists.txt before its cli_cache loop, which gives every
 # test here its own MMGEN_CACHE_DIR. The expected stdout of test <t> is
 # <t>.stdout in this directory, and <t>.sha256 pins the files it
-# writes; they were captured from the CLI before its flags moved into
-# one table.
+# writes; all but cli_stats were captured from the CLI before its flags
+# moved into one table.
 set(cli_runner ${CMAKE_CURRENT_SOURCE_DIR}/cli_test.cmake)
 
 # cli_golden(<test> <args> [WRITES]): exit 0 and the expected stdout;
@@ -48,6 +48,8 @@ cli_golden(cli_serve_continuous
 cli_golden(cli_serve_cluster "serve Muse --replicas 3 --chaos kill-replica \
 --hedge-quantile 0.9 --rate 2 --horizon 60 --metrics-out metrics.jsonl \
 --trace-out trace.json --sample-interval 5" WRITES)
+# Every counter `stats` prints is schedule-independent at any --jobs.
+cli_golden(cli_stats "stats --jobs 2")
 cli_golden(cli_lint_rules "lint --rules")
 cli_golden(cli_lint_json "lint --model Phenaki --json")
 cli_golden(cli_analyze_memory "analyze --all --memory --json")

@@ -68,22 +68,17 @@ TEST(Reports, TablesRenderWithExpectedRows)
 
 TEST(Reports, HotspotTableRanksByTime)
 {
-    profiler::ProfileOptions opts;
-    opts.keepOpRecords = true;
-    const profiler::ProfileResult res = profiler::Profiler(opts).profile(
+    const profiler::ProfileOptions opts;
+    const exec::ExecutionPlan plan = profiler::Profiler(opts).lower(
         models::buildModel(models::ModelId::StableDiffusion));
-    const TextTable table = hotspotTable(res, 5);
+    const exec::Timeline timeline =
+        exec::TimelineScheduler(opts.gpu, opts.schedule).schedule(plan);
+    const TextTable table = hotspotTable(plan, timeline, 5);
     EXPECT_EQ(table.rowCount(), 5u);
     // Rendered output carries scopes and shares.
     const std::string out = table.render();
     EXPECT_NE(out.find("%"), std::string::npos);
     EXPECT_NE(out.find("unet"), std::string::npos);
-
-    // Without records the call is a user error.
-    const profiler::ProfileResult bare =
-        profiler::Profiler().profile(
-            models::buildModel(models::ModelId::Muse));
-    EXPECT_THROW(hotspotTable(bare), mmgen::FatalError);
 }
 
 TEST(Taxonomy, TercilesSpanLevels)

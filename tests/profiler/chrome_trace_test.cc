@@ -12,13 +12,40 @@
 #include <vector>
 
 #include "profiler/chrome_trace.hh"
+#include "profiler/engine.hh"
 #include "util/logging.hh"
 
 namespace mmgen::profiler {
 namespace {
 
-ProfileResult
-smallProfile()
+/** A lowered plan and its scheduled timeline: what the exporter draws. */
+struct Traced
+{
+    exec::ExecutionPlan plan;
+    exec::Timeline timeline;
+};
+
+Traced
+trace(const graph::Pipeline& p, const ProfileOptions& opts)
+{
+    Traced t{Profiler(opts).lower(p), {}};
+    t.timeline =
+        exec::TimelineScheduler(opts.gpu, opts.schedule).schedule(t.plan);
+    return t;
+}
+
+/** Write `t` as a Chrome trace, returning the JSON document. */
+std::string
+traceJson(const Traced& t,
+          const ChromeTraceOptions& options = ChromeTraceOptions())
+{
+    std::ostringstream oss;
+    writeChromeTrace(oss, t.plan, t.timeline, options);
+    return oss.str();
+}
+
+Traced
+smallTrace()
 {
     graph::Pipeline p;
     p.name = "toy";
@@ -31,14 +58,12 @@ smallProfile()
                     16);
     };
     p.stages.push_back(std::move(s));
-    ProfileOptions opts;
-    opts.keepOpRecords = true;
-    return Profiler(opts).profile(p);
+    return trace(p, ProfileOptions());
 }
 
-/** A profile whose plan streams weights onto the copy lane. */
-ProfileResult
-overlappedProfile()
+/** A trace whose plan streams weights onto the copy lane. */
+Traced
+overlappedTrace()
 {
     graph::Pipeline p;
     p.name = "streamer";
@@ -52,10 +77,9 @@ overlappedProfile()
     };
     p.stages.push_back(std::move(s));
     ProfileOptions opts;
-    opts.keepOpRecords = true;
     opts.lowering.splitWeightStreams = true;
     opts.schedule.streams = 2;
-    return Profiler(opts).profile(p);
+    return trace(p, opts);
 }
 
 std::size_t
@@ -99,19 +123,19 @@ TEST(JsonEscape, HandlesSpecials)
               "mix\\\"ed\\\\and\\nplain");
 }
 
-TEST(ChromeTrace, RequiresRecords)
+TEST(ChromeTrace, RejectsForeignTimeline)
 {
-    ProfileResult empty; // keepOpRecords=false retains no plan
+    // A timeline scheduled from another plan has the wrong events.
+    const Traced small = smallTrace();
+    const Traced other = overlappedTrace();
     std::ostringstream oss;
-    EXPECT_THROW(writeChromeTrace(oss, empty), FatalError);
+    EXPECT_THROW(writeChromeTrace(oss, small.plan, other.timeline),
+                 FatalError);
 }
 
 TEST(ChromeTrace, EmitsWellFormedEvents)
 {
-    const ProfileResult res = smallProfile();
-    std::ostringstream oss;
-    writeChromeTrace(oss, res);
-    const std::string json = oss.str();
+    const std::string json = traceJson(smallTrace());
 
     // Structural sanity: balanced-ish JSON with the expected keys.
     EXPECT_EQ(json.find("{\"displayTimeUnit\":\"ms\""), 0u);
@@ -150,10 +174,7 @@ TEST(ChromeTrace, EmitsWellFormedEvents)
 
 TEST(ChromeTrace, GoldenEventStructure)
 {
-    const ProfileResult res = smallProfile();
-    std::ostringstream oss;
-    writeChromeTrace(oss, res);
-    const std::string json = oss.str();
+    const std::string json = traceJson(smallTrace());
 
     // One stage lane, one stream lane, and 2 nodes x min(5, 3 default)
     // repeat instances.
@@ -177,40 +198,35 @@ TEST(ChromeTrace, GoldenEventStructure)
 
 TEST(ChromeTrace, RepeatInstancesCapped)
 {
-    const ProfileResult res = smallProfile(); // ops repeat 5x
-    std::ostringstream capped, expanded;
+    const Traced small = smallTrace(); // ops repeat 5x
     ChromeTraceOptions one;
     one.maxRepeatInstances = 1;
-    writeChromeTrace(capped, res, one);
+    const std::string capped = traceJson(small, one);
     ChromeTraceOptions many;
     many.maxRepeatInstances = 100;
-    writeChromeTrace(expanded, res, many);
+    const std::string expanded = traceJson(small, many);
 
-    EXPECT_EQ(countOccurrences(capped.str(), "\"ph\":\"X\""), 2u);
+    EXPECT_EQ(countOccurrences(capped, "\"ph\":\"X\""), 2u);
     // 2 ops x 5 repeats, nothing elided, so no folded labels.
-    EXPECT_EQ(countOccurrences(expanded.str(), "\"ph\":\"X\""), 10u);
-    EXPECT_EQ(countOccurrences(expanded.str(), "showing"), 0u);
+    EXPECT_EQ(countOccurrences(expanded, "\"ph\":\"X\""), 10u);
+    EXPECT_EQ(countOccurrences(expanded, "showing"), 0u);
 
     // The capped document labels the fold on every drawn slice.
-    EXPECT_NE(capped.str().find("\"conv2d [x5, showing 1]\""),
+    EXPECT_NE(capped.find("\"conv2d [x5, showing 1]\""),
               std::string::npos);
-    EXPECT_NE(capped.str().find("\"flash_fused [x5, showing 1]\""),
+    EXPECT_NE(capped.find("\"flash_fused [x5, showing 1]\""),
               std::string::npos);
 
     ChromeTraceOptions zero;
     zero.maxRepeatInstances = 0;
-    std::ostringstream oss;
-    EXPECT_THROW(writeChromeTrace(oss, res, zero), FatalError);
+    EXPECT_THROW(traceJson(small, zero), FatalError);
 }
 
 TEST(ChromeTrace, OverlappedScheduleShowsBothStreamLanes)
 {
-    const ProfileResult res = overlappedProfile();
-    ASSERT_NE(res.plan, nullptr);
-    ASSERT_TRUE(res.plan->hasWeightStreams);
-    std::ostringstream oss;
-    writeChromeTrace(oss, res);
-    const std::string json = oss.str();
+    const Traced overlapped = overlappedTrace();
+    ASSERT_TRUE(overlapped.plan.hasWeightStreams);
+    const std::string json = traceJson(overlapped);
 
     EXPECT_NE(json.find("\"name\":\"stream 0 (compute)\""),
               std::string::npos);

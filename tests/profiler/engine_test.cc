@@ -8,6 +8,7 @@
 #include "models/model_suite.hh"
 #include "models/stable_diffusion.hh"
 #include "profiler/engine.hh"
+#include "profiler/record.hh"
 #include "util/logging.hh"
 #include "verify/verify.hh"
 
@@ -146,53 +147,55 @@ TEST(Profiler, BreakdownFractionsSumToOne)
     EXPECT_NEAR(total, 1.0, 1e-9);
 }
 
-TEST(Profiler, RecordsOnlyWhenRequested)
+/** A lowered plan and its timeline: what per-op records are read from. */
+struct Scheduled
 {
-    EXPECT_TRUE(Profiler().profile(toyDiffusion(2)).records.empty());
-    ProfileOptions opts;
-    opts.keepOpRecords = true;
-    const ProfileResult res = Profiler(opts).profile(toyDiffusion(2));
-    ASSERT_EQ(res.records.size(), 2u);
-    EXPECT_EQ(res.records[0].stage, "unet");
-    EXPECT_EQ(res.records[0].repeat, 2);
-    EXPECT_EQ(res.records[1].seqLen, 256);
-    EXPECT_EQ(res.records[1].seqKv, 256);
-    EXPECT_FALSE(res.recordsTruncated);
+    std::shared_ptr<const exec::ExecutionPlan> plan;
+    exec::Timeline timeline;
+};
+
+Scheduled
+schedule(const Profiler& prof, const Pipeline& p)
+{
+    auto plan = std::make_shared<const exec::ExecutionPlan>(prof.lower(p));
+    exec::Timeline timeline =
+        exec::TimelineScheduler(prof.options().gpu,
+                                prof.options().schedule)
+            .schedule(*plan);
+    return {std::move(plan), std::move(timeline)};
 }
 
-TEST(Profiler, MaxOpRecordsCapsRetentionWithoutSkewingTotals)
+TEST(Profiler, RecordsFromPlanReproduceTotals)
 {
-    // A per-iteration-shape stage emits records every iteration; the
-    // cap must bound retention, set the truncation flag, and leave
-    // aggregate metrics untouched.
-    Pipeline p;
-    p.name = "ar";
-    Stage s;
-    s.name = "decode";
-    s.iterations = 64;
-    s.perIterationShapes = true;
-    s.emit = [](GraphBuilder& b, std::int64_t iter) {
-        b.attention(graph::AttentionKind::CausalSelf, 1, 2, 1,
-                    iter + 1, 16);
-    };
-    p.stages.push_back(std::move(s));
+    const Profiler prof;
+    for (const Pipeline& p :
+         {toyDiffusion(2), models::buildStableDiffusion()}) {
+        const Scheduled s = schedule(prof, p);
+        const ProfileResult res = prof.profileWithPlan(p, s.plan);
+        double seconds = 0.0;
+        double flops = 0.0;
+        std::int64_t launches = 0;
+        for (std::size_t oi = 0; oi < s.plan->ops.size(); ++oi) {
+            const OpRecord rec = opRecord(*s.plan, s.timeline, oi);
+            seconds += rec.seconds;
+            flops += rec.flops;
+            launches += rec.launches;
+        }
+        // Summed in op order, as the profiler does: bitwise equal.
+        EXPECT_EQ(seconds, res.breakdown.totalSeconds()) << p.name;
+        EXPECT_EQ(flops, res.totalFlops) << p.name;
+        EXPECT_EQ(launches, res.totalLaunches) << p.name;
+    }
 
-    ProfileOptions full;
-    full.keepOpRecords = true;
-    const ProfileResult all = Profiler(full).profile(p);
-    ASSERT_EQ(all.records.size(), 64u);
-    EXPECT_FALSE(all.recordsTruncated);
-
-    ProfileOptions capped = full;
-    capped.maxOpRecords = 10;
-    const ProfileResult few = Profiler(capped).profile(p);
-    EXPECT_EQ(few.records.size(), 10u);
-    EXPECT_TRUE(few.recordsTruncated);
-    // The first records are the retained prefix, and totals match.
-    EXPECT_EQ(few.records[0].seqKv, all.records[0].seqKv);
-    EXPECT_EQ(few.totalSeconds, all.totalSeconds);
-    EXPECT_EQ(few.totalFlops, all.totalFlops);
-    EXPECT_EQ(few.totalLaunches, all.totalLaunches);
+    const Scheduled toy = schedule(prof, toyDiffusion(2));
+    ASSERT_EQ(toy.plan->ops.size(), 2u);
+    const OpRecord conv = opRecord(*toy.plan, toy.timeline, 0);
+    const OpRecord attn = opRecord(*toy.plan, toy.timeline, 1);
+    EXPECT_EQ(conv.stage, "unet");
+    EXPECT_EQ(conv.repeat, 2);
+    EXPECT_EQ(conv.seqKv, -1);
+    EXPECT_EQ(attn.seqLen, 256);
+    EXPECT_EQ(attn.seqKv, 256);
 }
 
 TEST(Profiler, CrossAttentionExcludedFromSeqSeries)

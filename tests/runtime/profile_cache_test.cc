@@ -148,18 +148,23 @@ TEST(ProfileCache, CachedProfileMatchesDirectProfile)
     EXPECT_EQ(cached->totalLaunches, direct.totalLaunches);
 }
 
-TEST(ProfileCache, KeepOpRecordsBypassesGlobalCache)
+TEST(ProfileCache, HotspotsStyleCallLowersOnce)
 {
+    // The per-op readers (hotspots, trace) take the aggregates from
+    // cachedProfile and the plan it priced from cachedPlan: one
+    // lowering between them. A calibration no other test profiles
+    // keeps both keys cold.
     const graph::Pipeline p =
         models::buildModel(models::ModelId::Muse);
     profiler::ProfileOptions opts;
-    opts.keepOpRecords = true;
-    const ProfileCacheStats before =
-        ProfileCache::global().stats();
+    opts.efficiency.gemmPeakFraction *= 0.75;
+    const SingleFlightStats before = planCacheStats();
     const auto res = cachedProfile(p, opts);
-    EXPECT_FALSE(res->records.empty());
-    const ProfileCacheStats after = ProfileCache::global().stats();
-    EXPECT_EQ(after.lookups(), before.lookups());
+    const auto plan = cachedPlan(p, opts);
+    const SingleFlightStats after = planCacheStats();
+    EXPECT_EQ(after.misses - before.misses, 1);
+    EXPECT_EQ(after.hits - before.hits, 1);
+    EXPECT_EQ(plan->totalParams, res->params);
 }
 
 TEST(ProfileKey, SensitiveToEveryProfileInput)

@@ -137,22 +137,33 @@ TEST(ChromeExport, EscapesEventNamesAndArgs)
     EXPECT_NE(out.str().find("v\\\\w"), std::string::npos);
 }
 
-/** Shared fixture: one profiled plan with records kept. */
-const profiler::ProfileResult&
+/** A lowered plan and its scheduled timeline. */
+struct ScheduledPlan
+{
+    std::shared_ptr<const exec::ExecutionPlan> plan;
+    exec::Timeline timeline;
+};
+
+/** Shared fixture: Stable Diffusion's plan, scheduled. */
+const ScheduledPlan&
 profiledStableDiffusion()
 {
-    static const profiler::ProfileResult res = [] {
-        profiler::ProfileOptions opts;
-        opts.keepOpRecords = true;
-        return profiler::Profiler(opts).profile(
-            models::buildStableDiffusion());
+    static const ScheduledPlan res = [] {
+        const profiler::ProfileOptions opts;
+        auto plan = std::make_shared<const exec::ExecutionPlan>(
+            profiler::Profiler(opts).lower(
+                models::buildStableDiffusion()));
+        exec::Timeline timeline =
+            exec::TimelineScheduler(opts.gpu, opts.schedule)
+                .schedule(*plan);
+        return ScheduledPlan{std::move(plan), std::move(timeline)};
     }();
     return res;
 }
 
 TEST(AppendTimeline, AddsStageLanesWithProvenance)
 {
-    const profiler::ProfileResult& res = profiledStableDiffusion();
+    const ScheduledPlan& res = profiledStableDiffusion();
     ASSERT_NE(res.plan, nullptr);
     TraceSink sink;
     appendTimeline(sink, *res.plan, res.timeline);
@@ -174,7 +185,7 @@ TEST(AppendTimeline, AddsStageLanesWithProvenance)
 
 TEST(AppendTimeline, FoldedRepeatsAreElidedWithAnnotation)
 {
-    const profiler::ProfileResult& res = profiledStableDiffusion();
+    const ScheduledPlan& res = profiledStableDiffusion();
     TraceSink sink;
     appendTimeline(sink, *res.plan, res.timeline,
                    /*maxRepeatInstances=*/2);
@@ -192,7 +203,7 @@ TEST(AppendTimeline, FoldedRepeatsAreElidedWithAnnotation)
 
 TEST(AppendTimeline, ExecLanesSortBelowExistingServingTracks)
 {
-    const profiler::ProfileResult& res = profiledStableDiffusion();
+    const ScheduledPlan& res = profiledStableDiffusion();
     TraceSink sink;
     const int serving = sink.track("serving", "lifecycle");
     sink.setTrackSort(serving, 4, 1);
@@ -203,7 +214,7 @@ TEST(AppendTimeline, ExecLanesSortBelowExistingServingTracks)
 
 TEST(AppendTimeline, TimeOffsetShiftsEverySpan)
 {
-    const profiler::ProfileResult& res = profiledStableDiffusion();
+    const ScheduledPlan& res = profiledStableDiffusion();
     TraceSink base, shifted;
     appendTimeline(base, *res.plan, res.timeline);
     appendTimeline(shifted, *res.plan, res.timeline, 3, 100.0);
@@ -215,7 +226,7 @@ TEST(AppendTimeline, TimeOffsetShiftsEverySpan)
 
 TEST(AppendTimeline, ExportIsDeterministic)
 {
-    const profiler::ProfileResult& res = profiledStableDiffusion();
+    const ScheduledPlan& res = profiledStableDiffusion();
     std::ostringstream a, b;
     {
         TraceSink sink;

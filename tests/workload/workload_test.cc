@@ -167,15 +167,20 @@ TEST(PoissonArrivalStream, MatchesInlineGapSampler)
 
 TEST(ArrivalGenerator, DegenerateMixIsByteIdenticalToLegacy)
 {
-    ArrivalGenerator legacy(7, 4.0);
+    // Both an empty mix (no workload configured) and the degenerate
+    // one-class mix take the unsplit legacy stream.
+    PoissonArrivalStream legacy(7, 4.0);
+    ArrivalGenerator empty(7, 4.0, WorkloadConfig{});
     ArrivalGenerator degenerate(7, 4.0, namedWorkloadMix("poisson"));
     for (int i = 0; i < 1000; ++i) {
-        const Arrival a = legacy.next();
-        const Arrival b = degenerate.next();
-        EXPECT_EQ(a.time, b.time);
-        EXPECT_EQ(a.sizeScale, 1.0);
-        EXPECT_EQ(b.sizeScale, 1.0);
-        EXPECT_EQ(b.priority, 0);
+        const double t = legacy.next();
+        for (ArrivalGenerator* gen : {&empty, &degenerate}) {
+            const Arrival a = gen->next();
+            EXPECT_EQ(a.time, t); // bit-identical, not just close
+            EXPECT_EQ(a.classIndex, 0);
+            EXPECT_EQ(a.sizeScale, 1.0);
+            EXPECT_EQ(a.priority, 0);
+        }
     }
 }
 

@@ -118,15 +118,36 @@ struct Options
 
 /** The profiler configuration the profile/schedule flags select. */
 profiler::ProfileOptions
-profileOptions(const Options& opts, bool keepOpRecords)
+profileOptions(const Options& opts)
 {
     profiler::ProfileOptions popts;
     popts.gpu = opts.gpu;
     popts.backend = opts.backend;
     popts.lowering = opts.lowering;
     popts.schedule = opts.schedule;
-    popts.keepOpRecords = keepOpRecords;
     return popts;
+}
+
+/** A lowered plan and its scheduled timeline: per-kernel detail. */
+struct ScheduledPlan
+{
+    std::shared_ptr<const exec::ExecutionPlan> plan;
+    exec::Timeline timeline;
+};
+
+/**
+ * The plan `runtime::cachedProfile` priced under `popts`, scheduled
+ * again: a plan-cache hit after the profile lowered it.
+ */
+ScheduledPlan
+scheduledPlan(const graph::Pipeline& pipeline,
+              const profiler::ProfileOptions& popts)
+{
+    std::shared_ptr<const exec::ExecutionPlan> plan =
+        runtime::cachedPlan(pipeline, popts);
+    exec::Timeline timeline =
+        exec::TimelineScheduler(popts.gpu, popts.schedule).schedule(*plan);
+    return {std::move(plan), std::move(timeline)};
 }
 
 /** The models `--model X` or `--all` selects for `cmd`. */
@@ -209,10 +230,10 @@ struct ServeTelemetry
         // `serve` takes no backend or schedule flags, so this is the
         // Flash, default-schedule profile that priced the run.
         if (!opts.traceOut.empty()) {
-            const profiler::ProfileResult res =
-                profiler::Profiler(profileOptions(opts, true))
-                    .profile(pipeline);
-            telemetry::appendTimeline(sink, *res.plan, res.timeline);
+            const profiler::ProfileOptions popts = profileOptions(opts);
+            runtime::cachedProfile(pipeline, popts);
+            const ScheduledPlan s = scheduledPlan(pipeline, popts);
+            telemetry::appendTimeline(sink, *s.plan, s.timeline);
         }
         writeTelemetryOutputs(opts, registry, sink);
         if (opts.sampleInterval <= 0.0)
@@ -253,18 +274,23 @@ cmdList(const Options&)
 int
 cmdProfile(const Options& opts)
 {
-    // The chrome-trace exporters read the retained plan + timeline.
-    const profiler::ProfileResult res = *runtime::cachedProfile(
-        models::buildModel(parseModel(opts.positional[0])),
-        profileOptions(opts, !opts.traceFile.empty() ||
-                                 !opts.traceOut.empty()));
+    const graph::Pipeline pipeline =
+        models::buildModel(parseModel(opts.positional[0]));
+    const profiler::ProfileOptions popts = profileOptions(opts);
+    const profiler::ProfileResult res =
+        *runtime::cachedProfile(pipeline, popts);
+    // The Chrome-trace exporters draw the plan the profile priced.
+    const ScheduledPlan detail =
+        opts.traceFile.empty() && opts.traceOut.empty()
+            ? ScheduledPlan{}
+            : scheduledPlan(pipeline, popts);
     std::cout << "GPU: " << opts.gpu.name << "\n\n";
     std::cout << core::profileSummary(res);
     if (!opts.traceFile.empty()) {
         std::ofstream out = openOutput(opts.traceFile);
-        profiler::writeChromeTrace(out, res);
+        profiler::writeChromeTrace(out, *detail.plan, detail.timeline);
         std::cout << "\nwrote timeline ("
-                  << res.timeline.eventCount() << " events) to "
+                  << detail.timeline.eventCount() << " events) to "
                   << opts.traceFile << "\n";
     }
     if (opts.wantsTelemetry()) {
@@ -288,7 +314,8 @@ cmdProfile(const Options& opts)
             .add(res.totalLaunches);
         runtime::publishRuntimeMetrics(registry);
         if (!opts.traceOut.empty())
-            telemetry::appendTimeline(sink, *res.plan, res.timeline);
+            telemetry::appendTimeline(sink, *detail.plan,
+                                      detail.timeline);
         writeTelemetryOutputs(opts, registry, sink);
     }
     return 0;
@@ -297,13 +324,16 @@ cmdProfile(const Options& opts)
 int
 cmdHotspots(const Options& opts)
 {
+    const graph::Pipeline pipeline =
+        models::buildModel(parseModel(opts.positional[0]));
+    const profiler::ProfileOptions popts = profileOptions(opts);
     const profiler::ProfileResult res =
-        profiler::Profiler(profileOptions(opts, true))
-            .profile(models::buildModel(parseModel(opts.positional[0])));
+        *runtime::cachedProfile(pipeline, popts);
+    const ScheduledPlan s = scheduledPlan(pipeline, popts);
     std::cout << res.model << " on " << opts.gpu.name << " ["
               << graph::attentionBackendName(opts.backend)
               << "], total " << formatTime(res.totalSeconds) << "\n\n";
-    std::cout << core::hotspotTable(res, 15).render();
+    std::cout << core::hotspotTable(*s.plan, s.timeline, 15).render();
     return 0;
 }
 
@@ -714,12 +744,15 @@ cmdLint(const Options& opts)
 int
 cmdTrace(const Options& opts)
 {
-    const profiler::ProfileResult res =
-        profiler::Profiler(profileOptions(opts, true))
-            .profile(models::buildModel(parseModel(opts.positional[0])));
+    const graph::Pipeline pipeline =
+        models::buildModel(parseModel(opts.positional[0]));
+    const profiler::ProfileOptions popts = profileOptions(opts);
+    // The cached profile runs the runtime verifier on a miss.
+    runtime::cachedProfile(pipeline, popts);
+    const ScheduledPlan s = scheduledPlan(pipeline, popts);
     std::ofstream out = openOutput(opts.positional[1]);
-    profiler::writeChromeTrace(out, res);
-    std::cout << "wrote " << res.timeline.eventCount()
+    profiler::writeChromeTrace(out, *s.plan, s.timeline);
+    std::cout << "wrote " << s.timeline.eventCount()
               << " timeline events to " << opts.positional[1] << "\n";
     return 0;
 }
@@ -848,7 +881,7 @@ const Flag kFlags[] = {
          runtime::ThreadPool::setGlobalJobs(jobs);
      }},
     {"--no-disk-cache", nullptr, "skip the disk cache (MMGEN_CACHE_DIR)",
-     kProfile | kSuite | kTaxonomy | kServe | kStats | kLint,
+     kProfiling | kSuite | kTaxonomy | kServe | kStats | kLint,
      [](Options& o, const Value&) { o.diskCache = false; }},
     {"--trace", "FILE", "also write the timeline as a Chrome trace", kProfile,
      [](Options& o, const Value& v) { o.traceFile = v.text; }},
